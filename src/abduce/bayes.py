@@ -23,6 +23,7 @@ from .errors import (
     UnknownVariable,
     ValueOutOfRange,
 )
+from .toposort import kahn_order
 
 NORMALIZATION_TOL = 1e-9
 
@@ -42,24 +43,12 @@ class BayesianNetwork:
 
     @cached_property
     def topo_order(self) -> Tuple[str, ...]:
-        indeg = {v: len(self.parents[v]) for v in self.variables}
-        children: Dict[str, list] = {v: [] for v in self.variables}
-        for v in self.variables:
-            for p in self.parents[v]:
-                if p in children:
-                    children[p].append(v)
-        ready = [v for v in self.variables if indeg[v] == 0]
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
+        order = kahn_order(self.variables,
+                           ((p, v) for v in self.variables
+                            for p in self.parents[v]))
         if len(order) != len(self.variables):
             raise CyclicNetwork(
-                f"cycle through {sorted(v for v in self.variables if indeg[v] > 0)}")
+                f"cycle through {sorted(set(self.variables) - set(order))}")
         return tuple(order)
 
     def parent_configs(self, var: str):

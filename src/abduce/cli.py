@@ -26,6 +26,7 @@ from .constraints import (
     encode_bayesnet,
     encode_waodag,
     instantiation_to_solution,
+    objective,
     truth_to_solution,
 )
 from .errors import ModelError, ParseError, SolverLimit
@@ -129,6 +130,7 @@ def abduce_enumerate(model, mode, k, delta):
 @cli_errors
 def abduce_oracle(model, mode, k, limit):
     w = model_io.parse_waodag_file(model)
+    enc = encode_waodag(w, essential=True)
     want = _parse_k(k)
     listed = wd.enumerate_explanations_oracle(w, limit=limit)
     if mode == "cardinal":
@@ -138,7 +140,6 @@ def abduce_oracle(model, mode, k, limit):
         if want is not search.ALL and rank >= want:
             break
         rank += 1
-        enc = encode_waodag(w, essential=True)
         emit(_waodag_record(rank, truth_to_solution(enc, e), c, w))
 
 
@@ -251,7 +252,6 @@ def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
             break
         rank += 1
         s = instantiation_to_solution(enc, w)
-        from .constraints import objective
         emit(_mpe_record(rank, s, objective(enc.system, s), p, w))
 
 

@@ -1,10 +1,13 @@
 """Linear 0-1 constraint systems and the two model encoders.
 
-A system is (variables, rows, per-variable true/false costs).  WAODAG graphs
-encode with one variable per node and the four AND/OR row shapes plus
-optional evidence equalities.  Bayesian networks encode with one indicator
-variable per (variable, value) and one conditional variable per CPT entry;
-conditional true-costs are negative natural logs of the entries.
+A system is (variables, rows, per-variable true/false costs) plus its
+determining scope: the variables whose 0-1 values fix all the others.  WAODAG
+graphs encode with one variable per node and the four AND/OR row shapes plus
+optional evidence equalities; the hypotheses determine every other node.
+Bayesian networks encode with one indicator variable per (variable, value)
+and one conditional variable per CPT entry; the indicators determine the
+conditionals, and conditional true-costs are negative natural logs of the
+entries.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class ConstraintSystem:
     constraints: Tuple[LinearConstraint, ...]
     psi_true: Mapping[str, float]
     psi_false: Mapping[str, float]
+    # variables whose 0-1 values fix every other variable; empty means all
+    determining: Tuple[str, ...] = ()
+
+    @property
+    def scope(self) -> Tuple[str, ...]:
+        """The determining variables: cuts and branching range over these."""
+        return self.determining or self.variables
 
     def extended(self, rows) -> "ConstraintSystem":
         return replace(self, constraints=self.constraints + tuple(rows))
@@ -125,6 +135,7 @@ def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
         constraints=tuple(rows),
         psi_true={var_of[q]: w.cost_true[q] for q in w.nodes},
         psi_false={var_of[q]: w.cost_false[q] for q in w.nodes},
+        determining=tuple(var_of[q] for q in w.nodes if q in w.hypotheses),
     )
     return WaodagEncoding(system, {v: q for q, v in var_of.items()}, var_of,
                           essential, w)
@@ -163,10 +174,7 @@ class BayesEncoding:
     @property
     def delta(self) -> Tuple[str, ...]:
         """All indicator variables, in declaration order."""
-        out: List[str] = []
-        for v in self.network.variables:
-            out.extend(self.indicator_groups[v])
-        return tuple(out)
+        return self.system.scope
 
 
 def indicator_name(var: str, value: str) -> str:
@@ -239,7 +247,9 @@ def encode_bayesnet(b: bn.BayesianNetwork, zero_prob: str = "clamp",
             terms += tuple((-1.0, q) for q in upsilon[(v, a)])
             rows.append(LinearConstraint(terms, EQ, 0.0))
 
-    system = ConstraintSystem(tuple(variables), tuple(rows), psi_true, psi_false)
+    indicators = tuple(x for v in b.variables for x in indicator_groups[v])
+    system = ConstraintSystem(tuple(variables), tuple(rows), psi_true,
+                              psi_false, indicators)
     return BayesEncoding(system, b, indicator_groups, conditionals,
                          {k: tuple(v) for k, v in upsilon.items()})
 

@@ -1,10 +1,13 @@
 """Optimal 0-1 solutions and k-best enumeration via cutting planes.
 
-Branch and bound over the LP relaxation finds optima; the enumeration loops
-add one exclusion cut per emitted solution and re-solve, warm-starting the
-root from the previous basis.  Three cut scopes: the full variable set, the
-hypothesis variables (cardinal mode), and the indicator variables of a
-Bayesian encoding (permissible mode).
+Branch and bound over the LP relaxation finds optima; the enumeration loop
+adds one cut per emitted solution and re-solves, warm-starting the root from
+the previous basis.  Every cut and every branching choice ranges over the
+system's determining scope (``ConstraintSystem.scope``): the hypotheses of a
+graph encoding, the indicators of a Bayesian encoding, all variables of a
+hand-built system.  Because the scope fixes every other variable, an
+exclusion cut over it removes exactly one 0-1 point.  The three modes differ
+only in the cut shape and in how a solution is reported.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bayes as bn
@@ -49,9 +52,6 @@ class BnbConfig:
     prune_eps: float = 1e-9
     node_limit: int = 1_000_000
     solution_cap: int = 100_000
-    # prefer branching on these variables; the encodings force everything
-    # else to integral values once they are fixed
-    branch_scope: Optional[Sequence[str]] = None
     # test hook: called with (fixed-variable dict, node LP bound)
     audit: Optional[Callable[[Dict[str, int], float], None]] = None
 
@@ -75,14 +75,14 @@ def exclusion_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
     return LinearConstraint(terms, LE, float(len(scope) - 1 - zeros))
 
 
-def cardinal_cut(s: Assignment01, enc: WaodagEncoding) -> LinearConstraint:
-    """Row excluding every solution whose base set contains H(s)."""
-    hyp_vars = [enc.var_of[q] for q in enc.waodag.nodes
-                if q in enc.waodag.hypotheses and s[enc.var_of[q]]]
-    if not hyp_vars:
+def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
+    """Row excluding every solution whose true ``scope`` variables include
+    those of ``s``: with hypotheses as the scope, every superset of H(s)."""
+    on = [x for x in scope if s[x]]
+    if not on:
         raise EmptyBaseSet("solution assumes no hypotheses")
-    terms = tuple((1.0, v) for v in hyp_vars)
-    return LinearConstraint(terms, LE, float(len(hyp_vars) - 1))
+    return LinearConstraint(tuple((1.0, x) for x in on), LE,
+                            float(len(on) - 1))
 
 
 def _pick_fractional(x, indices, int_tol: float) -> int:
@@ -101,24 +101,26 @@ def _pick_fractional(x, indices, int_tol: float) -> int:
 
 def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
                       cfg: BnbConfig, warm: Optional[sx.BasisState]):
-    """Returns (assignment or None, cost or None, root LpResult)."""
-    if cfg.branch_scope is None:
-        preferred = None
-    else:
-        index = p.index
-        preferred = [index[v] for v in cfg.branch_scope]
+    """Returns (assignment or None, cost or None, root LpResult).
+
+    Branches on the most fractional scope variable; a fractional variable
+    outside the scope is branched on only when the whole scope is integral.
+    """
+    index = p.index
+    scope = [index[x] for x in system.scope]
     root = sx.solve(p, warm=warm)
     if root.status != sx.OPTIMAL:
         return None, None, root
     counter = itertools.count()
-    heap: List[Tuple[float, int, Dict[int, int], sx.LpResult]] = []
-    heapq.heappush(heap, (root.objective, next(counter), {}, root))
+    heap: List[Tuple[float, int, Dict[int, int], sx.LpProblem,
+                     sx.LpResult]] = []
+    heapq.heappush(heap, (root.objective, next(counter), {}, p, root))
     incumbent = None
     inc_cost = math.inf
     nodes = 0
     names = p.names
     while heap:
-        bound, _, fixes, res = heapq.heappop(heap)
+        bound, _, fixes, node_p, res = heapq.heappop(heap)
         if bound >= inc_cost - cfg.prune_eps:
             break
         if cfg.audit is not None:
@@ -131,9 +133,8 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
             if rcost < inc_cost - 1e-12:
                 incumbent = rounded
                 inc_cost = rcost
-        scan = preferred if preferred is not None else range(len(names))
-        frac_j = _pick_fractional(x, scan, cfg.int_tol)
-        if frac_j < 0 and preferred is not None:
+        frac_j = _pick_fractional(x, scope, cfg.int_tol)
+        if frac_j < 0:
             frac_j = _pick_fractional(x, range(len(names)), cfg.int_tol)
         if frac_j < 0:
             s = {names[j]: int(round(x[j])) for j in range(len(names))}
@@ -149,23 +150,14 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
         if nodes > cfg.node_limit:
             raise NodeLimitExceeded(f"{nodes} branch-and-bound nodes")
         for v in (0, 1):
-            child_fixes = dict(fixes)
-            child_fixes[frac_j] = v
-            child_p = p
-            lower = p.lower.copy()
-            upper = p.upper.copy()
-            for j, fv in child_fixes.items():
-                lower[j] = float(fv)
-                upper[j] = float(fv)
-            child_p = sx.LpProblem(p.names, p.A, p.rel, p.b, lower, upper,
-                                   p.c, p.c0)
+            child_p = sx.with_bounds(node_p, frac_j, float(v), float(v))
             child = sx.solve(child_p, warm=res.basis)
             if child.status != sx.OPTIMAL:
                 continue
             if child.objective >= inc_cost - cfg.prune_eps:
                 continue
             heapq.heappush(heap, (child.objective, next(counter),
-                                  child_fixes, child))
+                                  {**fixes, frac_j: v}, child_p, child))
     if incumbent is None:
         return None, None, root
     return incumbent, inc_cost, root
@@ -181,9 +173,9 @@ def solve_optimal(system: ConstraintSystem,
     return RankedSolution(1, s, cost01)
 
 
-def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k,
-              make_cut, finish):
-    """Shared enumeration loop: solve, emit, cut, re-solve warm."""
+def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k, cut, finish):
+    """Shared enumeration loop: solve, emit, cut over the scope, re-solve
+    warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s)`` reports."""
     current = system
     p = sx.relax(system)
     warm = None
@@ -195,11 +187,11 @@ def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k,
             break
         out.append(finish(len(out) + 1, s))
         try:
-            cut = make_cut(s)
+            row = cut(s, system.scope)
         except EmptyBaseSet:
             break
-        current = current.extended([cut])
-        p = sx.add_row(p, cut)
+        current = current.extended([row])
+        p = sx.add_row(p, row)
         warm = root.basis
     return out
 
@@ -212,8 +204,7 @@ def enumerate_best(system: ConstraintSystem, k,
     def finish(rank, s):
         return RankedSolution(rank, s, objective(system, s))
 
-    return _cut_loop(system, cfg, k,
-                     lambda s: exclusion_cut(s, system.variables), finish)
+    return _cut_loop(system, cfg, k, exclusion_cut, finish)
 
 
 def enumerate_cardinal(enc: WaodagEncoding, k,
@@ -238,15 +229,10 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
         raise NotStrictlyMonotonic(
             f"monotonicity class is {cls.value}; cannot run cardinal cuts")
 
-    if cfg.branch_scope is None:
-        cfg = replace(cfg, branch_scope=tuple(
-            enc.var_of[q] for q in w.nodes if q in w.hypotheses))
-
     def finish(rank, s):
         return RankedSolution(rank, s, objective(enc.system, s))
 
-    return _cut_loop(search_enc.system, cfg, k,
-                     lambda s: cardinal_cut(s, enc), finish)
+    return _cut_loop(search_enc.system, cfg, k, cardinal_cut, finish)
 
 
 def enumerate_permissible(enc: BayesEncoding, k,
@@ -257,8 +243,8 @@ def enumerate_permissible(enc: BayesEncoding, k,
 
     Default mode nudges zero-cost conditionals up by ``delta`` so optima are
     permissible; strict mode adds the explicit permissibility rows instead.
-    Cuts range over the indicator variables only, so each emitted solution is
-    a distinct instantiation-set.
+    The indicators are the determining scope, so each emitted solution is a
+    distinct instantiation-set.
     """
     cfg = cfg or BnbConfig()
     if strict_mode:
@@ -266,16 +252,13 @@ def enumerate_permissible(enc: BayesEncoding, k,
     else:
         d = delta if delta is not None else default_delta(enc.system)
         work = ensure_positive_conditional_costs(enc, d)
-    scope = enc.delta
-    if cfg.branch_scope is None:
-        cfg = replace(cfg, branch_scope=scope)
 
     def finish(rank, s):
-        assert is_permissible(enc, s), "optimum is not permissible"
+        if not is_permissible(enc, s):
+            raise AssertionError("optimum is not permissible")
         w = solution_to_instantiation(enc, s)
         return RankedSolution(rank, s, objective(enc.system, s),
                               probability=bn.probability(enc.network, w),
                               instantiation=w)
 
-    return _cut_loop(work.system, cfg, k,
-                     lambda s: exclusion_cut(s, scope), finish)
+    return _cut_loop(work.system, cfg, k, exclusion_cut, finish)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -70,9 +70,6 @@ class LpResult:
     objective: Optional[float]
     basis: Optional[BasisState]
 
-    def value_of(self, p: LpProblem, name: str) -> float:
-        return float(self.x[p.index[name]])
-
 
 def _normalize_row(row: LinearConstraint, index: Dict[str, int],
                    n: int) -> Tuple[np.ndarray, str, float]:
@@ -108,12 +105,6 @@ def add_row(p: LpProblem, row: LinearConstraint) -> LpProblem:
     a, r, rhs = _normalize_row(row, p.index, len(p.names))
     return LpProblem(p.names, np.vstack([p.A, a[None, :]]), p.rel + (r,),
                      np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
-
-
-def add_rows(p: LpProblem, rows: Sequence[LinearConstraint]) -> LpProblem:
-    for row in rows:
-        p = add_row(p, row)
-    return p
 
 
 def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
@@ -396,10 +387,3 @@ def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
         return _warm_solve(p, warm)
     except (IterationLimit, ValueError, np.linalg.LinAlgError):
         return _cold_solve(p)
-
-
-def resolve_after_cut(p_extended: LpProblem, parent: LpResult) -> LpResult:
-    """Re-solve after adding rows/changing bounds, reusing the parent basis."""
-    if parent.basis is None:
-        return solve(p_extended)
-    return solve(p_extended, warm=parent.basis)

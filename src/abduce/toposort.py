@@ -1,0 +1,33 @@
+"""Kahn's topological sort, shared by the graph and network models."""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+
+
+def kahn_order(nodes: Sequence[Hashable],
+               edges: Iterable[Tuple[Hashable, Hashable]]) -> List[Hashable]:
+    """FIFO Kahn order of ``nodes`` under (parent, child) ``edges``.
+
+    Ready nodes leave in declaration order, children in edge order.  The
+    result is shorter than ``nodes`` when no order exists; it then omits
+    exactly the nodes whose in-degree never reached zero.
+    """
+    indeg: Dict[Hashable, int] = {n: 0 for n in nodes}
+    children: Dict[Hashable, List[Hashable]] = {n: [] for n in nodes}
+    for p, c in edges:
+        if c in indeg:
+            indeg[c] += 1
+            if p in children:
+                children[p].append(c)
+    ready = deque(n for n in nodes if indeg[n] == 0)
+    order: List[Hashable] = []
+    while ready:
+        n = ready.popleft()
+        order.append(n)
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return order

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     UnknownEvidenceNode,
 )
+from .toposort import kahn_order
 
 AND = "and"
 OR = "or"
@@ -88,22 +89,9 @@ class Waodag:
     @cached_property
     def topo_order(self) -> Tuple[str, ...]:
         """Kahn's algorithm; raises CyclicGraph when no order exists."""
-        indeg = {n: len(self.parents[n]) for n in self.nodes}
-        children: Dict[str, List[str]] = {n: [] for n in self.nodes}
-        for p, c in self.edges:
-            if p in children:
-                children[p].append(c)
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        order: List[str] = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for c in children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
+        order = kahn_order(self.nodes, self.edges)
         if len(order) != len(self.nodes):
-            cyclic = sorted(n for n in self.nodes if indeg[n] > 0)
+            cyclic = sorted(set(self.nodes) - set(order))
             raise CyclicGraph(f"cycle through {cyclic}")
         return tuple(order)
 

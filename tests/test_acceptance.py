@@ -263,7 +263,7 @@ def test_criterion_10_solver_internals(capsys):
                 cut = LinearConstraint(terms, rng.choice(["<=", ">=", "="]),
                                        float(rng.randint(-2, 3)))
                 p = sx.add_row(p, cut)
-                warm = sx.resolve_after_cut(p, parent)
+                warm = sx.solve(p, warm=parent.basis)
                 cold = sx.solve(p)
                 assert warm.status == cold.status
                 if warm.status == sx.OPTIMAL:

@@ -8,6 +8,7 @@ from abduce import waodag as wd
 from abduce.constraints import (
     ConstraintSystem,
     LinearConstraint,
+    add_permissibility_constraints,
     apply_evidence,
     encode_bayesnet,
     encode_waodag,
@@ -27,6 +28,8 @@ from util import (
     all_01_points,
     assert_streams_match,
     inst_key,
+    three_var_network,
+    tony_graph,
     truth_key,
 )
 
@@ -45,6 +48,25 @@ def oracle_stream(w):
 
 # --- cuts ---------------------------------------------------------------------
 
+def _random_graph_system(seed, essential):
+    w = random_waodag(seed, n_hypotheses=3 + seed, n_internal=5 + seed)
+    return encode_waodag(w, essential).system
+
+
+# systems small enough for all_01_points, keyed by test id
+SCOPE_SYSTEMS = {
+    "tony": lambda: encode_waodag(tony_graph()).system,
+    **{f"waodag-{seed}-{'essential' if ess else 'free'}":
+       (lambda seed=seed, ess=ess: _random_graph_system(seed, ess))
+       for seed in range(3) for ess in (True, False)},
+    "fig41": lambda: encode_bayesnet(three_var_network()).system,
+    "fig41-evidence": lambda: apply_evidence(
+        encode_bayesnet(three_var_network()), {"C": T}).system,
+    "fig41-permissibility": lambda: add_permissibility_constraints(
+        encode_bayesnet(three_var_network())).system,
+}
+
+
 class TestExclusionCut:
     def test_mixed_pattern(self):
         cut = search.exclusion_cut({"x1": 1, "x2": 0, "x3": 1},
@@ -62,14 +84,19 @@ class TestExclusionCut:
         with pytest.raises(EmptyScope):
             search.exclusion_cut({}, ())
 
-    def test_removes_exactly_one_point(self, tony):
-        enc = encode_waodag(tony)
-        before = all_01_points(enc.system)
-        target = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
-        cut = search.exclusion_cut(target, enc.system.variables)
-        after = all_01_points(enc.system.extended([cut]))
-        assert len(before) - len(after) == 1
-        assert target in before and target not in after
+    @pytest.mark.parametrize("name", SCOPE_SYSTEMS)
+    def test_removes_exactly_one_point(self, name):
+        system = SCOPE_SYSTEMS[name]()
+        before = all_01_points(system)
+        # the scope pattern tells every 0-1 point apart ...
+        patterns = {tuple(s[x] for x in system.scope) for s in before}
+        assert len(patterns) == len(before)
+        # ... so a cut over the scope alone removes just its own point
+        for target in (before[0], before[-1]):
+            cut = search.exclusion_cut(target, system.scope)
+            after = all_01_points(system.extended([cut]))
+            assert len(before) - len(after) == 1
+            assert target in before and target not in after
 
     def test_sound_over_random_patterns(self):
         import random
@@ -89,7 +116,7 @@ class TestCardinalCut:
     def test_singleton_base(self, tony):
         enc = encode_waodag(tony)
         s = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
-        cut = search.cardinal_cut(s, enc)
+        cut = search.cardinal_cut(s, enc.system.scope)
         assert cut.terms == ((1.0, "Tony-out"),)
         assert cut.rhs == 0.0
 
@@ -97,7 +124,7 @@ class TestCardinalCut:
         enc = encode_waodag(tony)
         s = truth_to_solution(
             enc, wd.propagate(tony, {"Tony-in", "Tony-sleeping"}))
-        cut = search.cardinal_cut(s, enc)
+        cut = search.cardinal_cut(s, enc.system.scope)
         assert set(cut.terms) == {(1.0, "Tony-in"), (1.0, "Tony-sleeping")}
         assert cut.rhs == 1.0
 
@@ -105,14 +132,14 @@ class TestCardinalCut:
         enc = encode_waodag(tony)
         s = truth_to_solution(
             enc, wd.propagate(tony, set(tony.hypotheses)))
-        cut = search.cardinal_cut(s, enc)
+        cut = search.cardinal_cut(s, enc.system.scope)
         assert len(cut.terms) == 3
         assert cut.rhs == 2.0
 
     def test_excludes_supersets(self, tony):
         enc = encode_waodag(tony)
         s = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
-        cut = search.cardinal_cut(s, enc)
+        cut = search.cardinal_cut(s, enc.system.scope)
         superset = truth_to_solution(
             enc, wd.propagate(tony, {"Tony-out", "Tony-in"}))
         disjoint = truth_to_solution(
@@ -204,6 +231,23 @@ class TestEnumerateBest:
         ranked = search.enumerate_best(enc.system, search.ALL)
         assert_streams_match(waodag_stream(ranked, enc), oracle_stream(w),
                              1e-6)
+
+    def test_empty_scope_means_every_variable(self):
+        names = ("a", "b", "c", "d")
+        system = ConstraintSystem(
+            names,
+            (LinearConstraint(((1.0, "a"), (1.0, "b")), ">=", 1.0),
+             LinearConstraint(((1.0, "c"), (-1.0, "d")), "<=", 0.0)),
+            {"a": 3.0, "b": 1.0, "c": -2.0, "d": 0.5},
+            {"a": 0.0, "b": 0.5, "c": 0.0, "d": 1.0})
+        assert system.determining == ()
+        assert system.scope == names
+        ranked = search.enumerate_best(system, search.ALL)
+        got = [(tuple(r.assignment[x] for x in names), r.cost)
+               for r in ranked]
+        want = sorted(((tuple(s[x] for x in names), objective(system, s))
+                       for s in all_01_points(system)), key=lambda t: t[1])
+        assert_streams_match(got, want, 1e-9)
 
 
 # --- cardinal enumeration -----------------------------------------------------

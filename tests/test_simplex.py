@@ -53,7 +53,9 @@ def tiny_problem(rows, n=1, c=None):
     p = sx.LpProblem(names, np.zeros((0, n)), (), np.zeros(0),
                      np.zeros(n), np.ones(n),
                      np.array(c if c is not None else [1.0] * n), 0.0)
-    return sx.add_rows(p, rows)
+    for row in rows:
+        p = sx.add_row(p, row)
+    return p
 
 
 class TestSolve:
@@ -61,8 +63,8 @@ class TestSolve:
         r = sx.solve(tony_lp)
         assert r.status == sx.OPTIMAL
         assert r.objective == pytest.approx(8, abs=1e-9)
-        assert r.value_of(tony_lp, "Tony-out") == pytest.approx(1, abs=1e-7)
-        assert r.value_of(tony_lp, "Tony-in") == pytest.approx(0, abs=1e-7)
+        assert r.x[tony_lp.index["Tony-out"]] == pytest.approx(1, abs=1e-7)
+        assert r.x[tony_lp.index["Tony-in"]] == pytest.approx(0, abs=1e-7)
 
     def test_empty_problem(self):
         p = sx.LpProblem((), np.zeros((0, 0)), (), np.zeros(0),
@@ -122,11 +124,11 @@ class TestResolveAfterCut:
     def test_tony_cut_drops_to_fractional_optimum(self, tony_lp):
         root = sx.solve(tony_lp)
         # exclude the integral optimum over the full variable set
-        s = {x: int(round(root.value_of(tony_lp, x))) for x in tony_lp.names}
+        s = {x: int(round(root.x[tony_lp.index[x]])) for x in tony_lp.names}
         terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in tony_lp.names)
         cut = LinearConstraint(terms, "<=", float(sum(s.values()) - 1))
         extended = sx.add_row(tony_lp, cut)
-        warm = sx.resolve_after_cut(extended, root)
+        warm = sx.solve(extended, warm=root.basis)
         cold = sx.solve(extended)
         assert warm.status == cold.status == sx.OPTIMAL
         # the cut polytope's optimum is fractional: 8 + 1/4
@@ -137,7 +139,7 @@ class TestResolveAfterCut:
         root = sx.solve(tony_lp)
         extended = sx.add_row(tony_lp, LinearConstraint(
             ((1.0, "phone-noanswer"),), "<=", 2.0))
-        warm = sx.resolve_after_cut(extended, root)
+        warm = sx.solve(extended, warm=root.basis)
         assert warm.objective == pytest.approx(root.objective, abs=1e-9)
 
     def test_conflicting_bound_children(self, tony_lp):
@@ -189,7 +191,7 @@ def test_randomized_resolve_matches_scratch(seed):
             j = rng.randrange(len(p.names))
             v = float(rng.randint(0, 1))
             p = sx.with_bounds(p, j, v, v)
-        warm = sx.resolve_after_cut(p, parent)
+        warm = sx.solve(p, warm=parent.basis)
         cold = sx.solve(p)
         assert warm.status == cold.status
         if warm.status == sx.OPTIMAL:

@@ -1,0 +1,18 @@
+"""Checks over the package source itself."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "abduce"
+
+
+def test_no_assert_statements():
+    """``python -O`` strips ``assert``, so no check in the package may use it."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(SRC)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/abduce: {found}"
