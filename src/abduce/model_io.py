@@ -54,9 +54,6 @@ def parse_waodag(doc: Any) -> wd.Waodag:
         edges.append((pair[0], pair[1]))
     w = wd.Waodag.build(nodes, edges, label, cost_true, cost_false,
                         doc.get("evidence", []))
-    for q in w.nodes:
-        if w.parents[q] and q not in label:
-            raise ParseError(f"internal node {q!r} has no label")
     wd.validate(w)
     return w
 

@@ -126,25 +126,24 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
         if cfg.audit is not None:
             cfg.audit({names[j]: v for j, v in fixes.items()}, bound)
         x = res.x
-        # rounding heuristic: a feasible integer point tightens pruning early
-        rounded = {names[j]: int(round(x[j])) for j in range(len(names))}
-        if satisfies(system, rounded, tol=1e-9):
-            rcost = objective(system, rounded)
-            if rcost < inc_cost - 1e-12:
-                incumbent = rounded
-                inc_cost = rcost
         frac_j = _pick_fractional(x, scope, cfg.int_tol)
         if frac_j < 0:
             frac_j = _pick_fractional(x, range(len(names)), cfg.int_tol)
+        rounded = {names[j]: int(round(x[j])) for j in range(len(names))}
         if frac_j < 0:
-            s = {names[j]: int(round(x[j])) for j in range(len(names))}
-            cost01 = objective(system, s)
+            cost01 = objective(system, rounded)
             if bound > cost01 + 1e-9:
                 raise AssertionError(
                     f"weak duality violated: bound {bound} > cost {cost01}")
-            if satisfies(system, s, tol=1e-6) and cost01 < inc_cost - 1e-12:
-                incumbent = s
-                inc_cost = cost01
+            feasible = satisfies(system, rounded, tol=1e-6)
+        else:
+            # rounding heuristic: a feasible integer point tightens pruning early
+            feasible = satisfies(system, rounded, tol=1e-9)
+            cost01 = objective(system, rounded) if feasible else math.inf
+        if feasible and cost01 < inc_cost - 1e-12:
+            incumbent = rounded
+            inc_cost = cost01
+        if frac_j < 0:
             continue
         nodes += 1
         if nodes > cfg.node_limit:

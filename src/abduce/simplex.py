@@ -5,6 +5,12 @@ two-phase primal simplex; re-solves after adding cut rows or changing bounds
 with a dual simplex warm-started from the parent basis.  Dense arithmetic;
 the systems this package generates are desk scale.
 
+Each solve keeps the explicit inverse of its basis matrix.  It is computed
+from scratch when a basis is installed (cold start, warm start) and again
+after every ``REFACTOR_EVERY`` basis changes to shed rounding drift; between
+those, each basis change applies a rank-one (eta) update, the product form of
+the inverse.  A bound flip leaves the basis, and so the inverse, unchanged.
+
 Pivot rules are fixed for determinism: largest reduced cost with a Bland
 fallback after a degeneracy streak, ratio-test ties to the lowest variable
 index.
@@ -17,20 +23,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .constraints import EQ, GE, LE, ConstraintSystem, LinearConstraint
 from .errors import IterationLimit
-
-import warnings
-
-warnings.simplefilter("ignore", LinAlgWarning)
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 RATIO_TIE_TOL = 1e-9
 BLAND_AFTER = 100
+REFACTOR_EVERY = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -107,6 +109,16 @@ def add_row(p: LpProblem, row: LinearConstraint) -> LpProblem:
                      np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
 
 
+def lu_factor(B: np.ndarray) -> np.ndarray:
+    """Inverse of the basis matrix ``B``, computed from scratch."""
+    return np.linalg.inv(B)
+
+
+def lu_solve(binv: np.ndarray, r: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``B^-1 r``, or ``B^-T r`` when ``trans`` is 1, from ``binv = B^-1``."""
+    return r @ binv if trans else binv @ r
+
+
 def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
     lower = p.lower.copy()
     upper = p.upper.copy()
@@ -132,16 +144,32 @@ class _Worker:
         slack_up = np.array([math.inf if r == LE else 0.0 for r in p.rel])
         self.lo = np.concatenate([p.lower, np.zeros(na), np.zeros(m)])
         self.up = np.concatenate([p.upper, np.zeros(na), slack_up])
-        self.basis: List[int] = []
         self.stat = np.full(self.ntot, AT_LOWER, dtype=np.int8)
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
 
     # -- shared pieces -------------------------------------------------------
 
-    def _factor(self):
-        B = self.A[:, self.basis]
-        return lu_factor(B, check_finite=False)
+    def _install(self, basis: List[int]) -> None:
+        """Make ``basis`` current and invert its matrix from scratch."""
+        self.basis = basis
+        self.stat[basis] = BASIC
+        self.binv = lu_factor(self.A[:, basis])
+        self.changes = 0
+
+    def _replace(self, pos: int, j: int, w: np.ndarray, leave_to: int) -> None:
+        """Column ``j`` enters at ``pos``; ``w`` is ``B^-1 A[:, j]``."""
+        old = self.basis[pos]
+        self.basis[pos] = j
+        self.stat[j] = BASIC
+        self.stat[old] = leave_to
+        self.changes += 1
+        if self.changes >= REFACTOR_EVERY:
+            self._install(self.basis)
+            return
+        row = self.binv[pos] / w[pos]
+        self.binv -= np.outer(w, row)
+        self.binv[pos] = row
 
     def _nonbasic_values(self) -> np.ndarray:
         x = np.where(self.stat == AT_UPPER, self.up, self.lo)
@@ -149,18 +177,13 @@ class _Worker:
         x[self.basis] = 0.0
         return x
 
-    def _values(self, fac) -> np.ndarray:
+    def _values(self) -> np.ndarray:
         x = self._nonbasic_values()
-        if self.m:
-            r = self.p.b - self.A @ x
-            x[self.basis] = lu_solve(fac, r, check_finite=False)
+        x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x)
         return x
 
-    def _reduced_costs(self, fac, c) -> np.ndarray:
-        if not self.m:
-            return c.copy()
-        y = lu_solve(fac, c[self.basis], trans=1, check_finite=False)
-        return c - y @ self.A
+    def _reduced_costs(self, c) -> np.ndarray:
+        return c - lu_solve(self.binv, c[self.basis], trans=1) @ self.A
 
     def _movable(self) -> np.ndarray:
         out = (self.stat != BASIC) & (self.up > self.lo + 1e-12)
@@ -182,9 +205,8 @@ class _Worker:
                     if self.up[j] > self.lo[j] and c[j] < -OPT_TOL:
                         self.stat[j] = AT_UPPER
                 return OPTIMAL
-            fac = self._factor()
-            x = self._values(fac)
-            d = self._reduced_costs(fac, c)
+            x = self._values()
+            d = self._reduced_costs(c)
             movable = self._movable()
             score = np.zeros(self.ntot)
             at_lo = movable & (self.stat == AT_LOWER)
@@ -200,7 +222,7 @@ class _Worker:
                 masked = np.where(eligible, score, -math.inf)
                 j = int(np.argmax(masked))
             dirn = 1.0 if self.stat[j] == AT_LOWER else -1.0
-            w = lu_solve(fac, self.A[:, j], check_finite=False)
+            w = lu_solve(self.binv, self.A[:, j])
             xB = x[self.basis]
             # entering step t changes basic values by -dirn*t*w
             basis_arr = np.asarray(self.basis)
@@ -234,20 +256,12 @@ class _Worker:
                 # bound flip, basis unchanged
                 self.stat[j] = AT_UPPER if self.stat[j] == AT_LOWER else AT_LOWER
             else:
-                old = self.basis[leave_pos]
-                self.basis[leave_pos] = j
-                self.stat[j] = BASIC
-                self.stat[old] = leave_to
+                self._replace(leave_pos, j, w, leave_to)
             self._tick()
 
     def _dual_feasible(self, c, tol: float = 1e-7) -> bool:
         """Reduced-cost signs consistent with every movable nonbasic status."""
-        if self.m == 0:
-            return True
-        try:
-            d = self._reduced_costs(self._factor(), c)
-        except (ValueError, np.linalg.LinAlgError):
-            return False
+        d = self._reduced_costs(c)
         movable = self._movable()
         lo_ok = d[movable & (self.stat == AT_LOWER)] >= -tol
         up_ok = d[movable & (self.stat == AT_UPPER)] <= tol
@@ -259,8 +273,7 @@ class _Worker:
         while True:
             if self.m == 0:
                 return OPTIMAL
-            fac = self._factor()
-            x = self._values(fac)
+            x = self._values()
             xB = x[self.basis]
             lo_b = self.lo[np.array(self.basis)]
             up_b = self.up[np.array(self.basis)]
@@ -272,10 +285,8 @@ class _Worker:
             if viol[pos] <= FEAS_TOL:
                 return OPTIMAL
             leaving_below = below[pos] >= above[pos]
-            e = np.zeros(self.m)
-            e[pos] = 1.0
-            alpha = lu_solve(fac, e, trans=1, check_finite=False) @ self.A
-            d = self._reduced_costs(fac, c)
+            alpha = self.binv[pos] @ self.A
+            d = self._reduced_costs(c)
             movable = self._movable()
             at_lo = movable & (self.stat == AT_LOWER)
             at_up = movable & (self.stat == AT_UPPER)
@@ -288,10 +299,8 @@ class _Worker:
             ratios = np.full(self.ntot, math.inf)
             ratios[elig] = np.abs(d[elig]) / np.abs(alpha[elig])
             j = int(np.argmin(ratios))  # first minimum: lowest index at ties
-            old = self.basis[pos]
-            self.basis[pos] = j
-            self.stat[j] = BASIC
-            self.stat[old] = AT_LOWER if leaving_below else AT_UPPER
+            self._replace(pos, j, lu_solve(self.binv, self.A[:, j]),
+                          AT_LOWER if leaving_below else AT_UPPER)
             self._tick()
 
     # -- costs ---------------------------------------------------------------
@@ -302,19 +311,16 @@ class _Worker:
         return c
 
     def result(self) -> LpResult:
-        fac = self._factor() if self.m else None
-        x = self._values(fac) if self.m else self._nonbasic_values()
-        xs = x[:self.n].copy()
+        xs = self._values()[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
         state = BasisState(list(self.basis), self.stat.copy(), self.arts, self.m)
         return LpResult(OPTIMAL, xs, obj, state)
 
 
 def _cold_solve(p: LpProblem) -> LpResult:
-    m, n = p.A.shape
-    probe = _Worker(p, ())
+    m = len(p.b)
     # structural at lower, slacks tentatively basic
-    resid = p.b - p.A @ probe._nonbasic_values()[:n] if m else np.zeros(0)
+    resid = p.b - p.A @ p.lower
     arts: List[Tuple[int, float]] = []
     for i in range(m):
         infeasible = (p.rel[i] == LE and resid[i] < -FEAS_TOL) or \
@@ -322,16 +328,10 @@ def _cold_solve(p: LpProblem) -> LpResult:
         if infeasible:
             arts.append((i, 1.0 if resid[i] > 0 else -1.0))
     w = _Worker(p, tuple(arts))
-    art_rows = {row for row, _ in arts}
-    w.basis = []
-    art_pos = {row: k for k, (row, _) in enumerate(arts)}
-    for i in range(m):
-        if i in art_rows:
-            w.basis.append(w.n + art_pos[i])
-        else:
-            w.basis.append(w.n + w.na + i)
-    for v in w.basis:
-        w.stat[v] = BASIC
+    basis = [w.n + w.na + i for i in range(m)]
+    for k, (row, _) in enumerate(arts):
+        basis[row] = w.n + k
+    w._install(basis)
     if arts:
         # phase 1: open the artificials and minimize their sum
         for k in range(w.na):
@@ -339,9 +339,7 @@ def _cold_solve(p: LpProblem) -> LpResult:
         c1 = np.zeros(w.ntot)
         c1[w.n:w.n + w.na] = 1.0
         w.primal(c1)
-        fac = w._factor()
-        x = w._values(fac)
-        if float(c1 @ x) > FEAS_TOL:
+        if float(c1 @ w._values()) > FEAS_TOL:
             return LpResult(INFEASIBLE, None, None, None)
         w.up[w.n:w.n + w.na] = 0.0
         for k in range(w.na):
@@ -354,14 +352,10 @@ def _cold_solve(p: LpProblem) -> LpResult:
 def _warm_solve(p: LpProblem, warm: BasisState) -> LpResult:
     w = _Worker(p, warm.arts)
     old_rows = warm.n_rows
-    new_rows = w.m - old_rows
     # old stat layout: struct | arts | old slacks; new slacks append at the end
     w.stat[:w.n + w.na + old_rows] = warm.stat
-    w.basis = list(warm.basis)
-    for i in range(old_rows, w.m):
-        idx = w.n + w.na + i
-        w.basis.append(idx)
-        w.stat[idx] = BASIC
+    w._install(list(warm.basis) +
+               [w.n + w.na + i for i in range(old_rows, w.m)])
     # nonbasic statuses may point at a now-infinite bound after a bound change
     for j in range(w.n):
         if w.stat[j] == AT_UPPER and not math.isfinite(w.up[j]):
@@ -385,5 +379,5 @@ def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
         return _cold_solve(p)
     try:
         return _warm_solve(p, warm)
-    except (IterationLimit, ValueError, np.linalg.LinAlgError):
+    except (IterationLimit, np.linalg.LinAlgError):
         return _cold_solve(p)

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from abduce import simplex as sx
-from abduce.constraints import LinearConstraint, encode_waodag
-from abduce.generate import random_waodag
+from abduce.constraints import (
+    LinearConstraint,
+    apply_evidence,
+    encode_bayesnet,
+    encode_waodag,
+)
+from abduce.generate import random_bayesnet, random_evidence, random_waodag
 
 TONY_ORDER = ("Tony-in", "Tony-sleeping", "Tony-out",
               "phone-disconnected", "phone-noanswer")
@@ -197,3 +202,82 @@ def test_randomized_resolve_matches_scratch(seed):
         if warm.status == sx.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         parent = warm
+
+
+# --- differential check against HiGHS -----------------------------------------
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def bayes_lp(seed):
+    net = random_bayesnet(seed, 10, 2)
+    enc = apply_evidence(encode_bayesnet(net), random_evidence(seed, net))
+    return sx.relax(enc.system)
+
+
+def waodag_lp(seed):
+    return sx.relax(encode_waodag(random_waodag(seed, 20, 60)).system)
+
+
+def assert_matches_highs(p, r, linprog):
+    """Same status and objective as HiGHS; ``r.x`` meets every row."""
+    le = np.array([rel == "<=" for rel in p.rel], dtype=bool)
+    eq = ~le
+    ref = linprog(p.c, A_ub=p.A[le], b_ub=p.b[le], A_eq=p.A[eq],
+                  b_eq=p.b[eq], bounds=list(zip(p.lower, p.upper)),
+                  method="highs")
+    assert ref.status in (0, 2), ref.message
+    assert r.status == (sx.OPTIMAL if ref.status == 0 else sx.INFEASIBLE)
+    if r.status != sx.OPTIMAL:
+        return
+    assert r.objective == pytest.approx(ref.fun + p.c0, abs=1e-7)
+    resid = p.A @ r.x - p.b
+    assert (resid[le] <= sx.FEAS_TOL).all()
+    assert (np.abs(resid[eq]) <= sx.FEAS_TOL).all()
+    assert (r.x >= p.lower - sx.FEAS_TOL).all()
+    assert (r.x <= p.upper + sx.FEAS_TOL).all()
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
+@pytest.mark.parametrize("seed", range(6))
+def test_cold_solve_matches_highs(make, seed, linprog):
+    p = make(seed)
+    assert_matches_highs(p, sx.solve(p), linprog)
+
+
+def test_bayes_instances_reach_the_refresh(monkeypatch):
+    """Some cold solves above run past ``REFACTOR_EVERY`` basis changes, so
+    they invert their basis more than once."""
+    inversions = []
+    invert = sx.lu_factor
+
+    def counting(B):
+        inversions.append(B.shape)
+        return invert(B)
+
+    monkeypatch.setattr(sx, "lu_factor", counting)
+    for seed in range(6):
+        sx.solve(bayes_lp(seed))
+    assert len(inversions) > 6
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_chain_matches_highs(make, seed, linprog):
+    """Warm re-solves after random cuts and bound fixes agree with HiGHS."""
+    rng = random.Random(seed)
+    p = make(seed)
+    parent = sx.solve(p)
+    for _ in range(8):
+        if parent.status != sx.OPTIMAL:
+            break
+        if rng.random() < 0.7:
+            p = sx.add_row(p, random_cut(rng, p.names))
+        else:
+            j = rng.randrange(len(p.names))
+            v = float(rng.randint(0, 1))
+            p = sx.with_bounds(p, j, v, v)
+        parent = sx.solve(p, warm=parent.basis)
+        assert_matches_highs(p, parent, linprog)

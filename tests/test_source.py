@@ -16,3 +16,20 @@ def test_no_assert_statements():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/abduce: {found}"
+
+
+def test_no_scipy_imports():
+    """scipy is a test dependency only; the package runs on numpy alone."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"scipy imports in src/abduce: {found}"
