@@ -5,6 +5,12 @@ class ModelError(Exception):
     """A model or input is malformed; maps to exit code 1 in the CLI."""
 
 
+class InvariantViolation(AssertionError):
+    """The search broke an invariant its correctness rests on, such as weak
+    duality; a bug, never a property of the input.  Raised explicitly, so
+    ``python -O`` keeps the check."""
+
+
 class SolverLimit(Exception):
     """A solver resource limit was hit; maps to exit code 2 in the CLI."""
 

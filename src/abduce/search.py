@@ -39,6 +39,7 @@ from .constraints import (
 from .errors import (
     EmptyBaseSet,
     EmptyScope,
+    InvariantViolation,
     NodeLimitExceeded,
     NotStrictlyMonotonic,
 )
@@ -133,7 +134,7 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
         if frac_j < 0:
             cost01 = objective(system, rounded)
             if bound > cost01 + 1e-9:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
             feasible = satisfies(system, rounded, tol=1e-6)
         else:
@@ -254,7 +255,7 @@ def enumerate_permissible(enc: BayesEncoding, k,
 
     def finish(rank, s):
         if not is_permissible(enc, s):
-            raise AssertionError("optimum is not permissible")
+            raise InvariantViolation("optimum is not permissible")
         w = solution_to_instantiation(enc, s)
         return RankedSolution(rank, s, objective(enc.system, s),
                               probability=bn.probability(enc.network, w),

@@ -5,11 +5,16 @@ two-phase primal simplex; re-solves after adding cut rows or changing bounds
 with a dual simplex warm-started from the parent basis.  Dense arithmetic;
 the systems this package generates are desk scale.
 
-Each solve keeps the explicit inverse of its basis matrix.  It is computed
-from scratch when a basis is installed (cold start, warm start) and again
-after every ``REFACTOR_EVERY`` basis changes to shed rounding drift; between
-those, each basis change applies a rank-one (eta) update, the product form of
-the inverse.  A bound flip leaves the basis, and so the inverse, unchanged.
+Each solve keeps the explicit inverse of its basis matrix and never inverts
+a basis it can already name the inverse of.  A cold start's basis is slack
+and artificial unit columns, so its inverse is a diagonal of +-1.  A warm
+start carries the parent's inverse: a bound change leaves the basis matrix
+as it was, and appending rows ``R`` borders it to ``[[B, 0], [R, I]]``, whose
+inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each basis change applies a
+rank-one (eta) update, the product form of the inverse, and the inverse is
+computed from scratch only after ``REFACTOR_EVERY`` of them, counted across
+the whole chain of warm solves, to shed rounding drift.  A bound flip leaves
+the basis, and so the inverse, unchanged.
 
 Pivot rules are fixed for determinism: largest reduced cost with a Bland
 fallback after a degeneracy streak, ratio-test ties to the lowest variable
@@ -58,11 +63,14 @@ class LpProblem:
 
 @dataclass
 class BasisState:
-    """Warm-start handle: basis membership plus retained artificial columns."""
+    """Warm-start handle: basis membership, retained artificial columns, and
+    the basis inverse with the basis changes applied to it since it was last
+    computed from scratch.  Warm solves copy ``binv``; none writes to it."""
     basis: List[int]
     stat: np.ndarray
     arts: Tuple[Tuple[int, float], ...]
-    n_rows: int
+    binv: np.ndarray
+    changes: int
 
 
 @dataclass
@@ -150,12 +158,14 @@ class _Worker:
 
     # -- shared pieces -------------------------------------------------------
 
-    def _install(self, basis: List[int]) -> None:
-        """Make ``basis`` current and invert its matrix from scratch."""
+    def _install(self, basis: List[int], binv: np.ndarray,
+                 changes: int) -> None:
+        """Make ``basis`` current with ``binv``, its inverse after
+        ``changes`` eta updates; the worker owns and updates ``binv``."""
         self.basis = basis
         self.stat[basis] = BASIC
-        self.binv = lu_factor(self.A[:, basis])
-        self.changes = 0
+        self.binv = binv
+        self.changes = changes
 
     def _replace(self, pos: int, j: int, w: np.ndarray, leave_to: int) -> None:
         """Column ``j`` enters at ``pos``; ``w`` is ``B^-1 A[:, j]``."""
@@ -165,7 +175,7 @@ class _Worker:
         self.stat[old] = leave_to
         self.changes += 1
         if self.changes >= REFACTOR_EVERY:
-            self._install(self.basis)
+            self._install(self.basis, lu_factor(self.A[:, self.basis]), 0)
             return
         row = self.binv[pos] / w[pos]
         self.binv -= np.outer(w, row)
@@ -313,7 +323,8 @@ class _Worker:
     def result(self) -> LpResult:
         xs = self._values()[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
-        state = BasisState(list(self.basis), self.stat.copy(), self.arts, self.m)
+        state = BasisState(list(self.basis), self.stat.copy(), self.arts,
+                           self.binv, self.changes)
         return LpResult(OPTIMAL, xs, obj, state)
 
 
@@ -329,9 +340,11 @@ def _cold_solve(p: LpProblem) -> LpResult:
             arts.append((i, 1.0 if resid[i] > 0 else -1.0))
     w = _Worker(p, tuple(arts))
     basis = [w.n + w.na + i for i in range(m)]
-    for k, (row, _) in enumerate(arts):
+    sign = np.ones(m)
+    for k, (row, s) in enumerate(arts):
         basis[row] = w.n + k
-    w._install(basis)
+        sign[row] = s
+    w._install(basis, np.diag(sign), 0)
     if arts:
         # phase 1: open the artificials and minimize their sum
         for k in range(w.na):
@@ -351,11 +364,17 @@ def _cold_solve(p: LpProblem) -> LpResult:
 
 def _warm_solve(p: LpProblem, warm: BasisState) -> LpResult:
     w = _Worker(p, warm.arts)
-    old_rows = warm.n_rows
+    old_rows = warm.binv.shape[0]
     # old stat layout: struct | arts | old slacks; new slacks append at the end
     w.stat[:w.n + w.na + old_rows] = warm.stat
+    # new rows are 0 in artificial and old slack columns, so the old basis
+    # columns read A[new rows, old basis] there and the new slacks read I
+    binv = np.eye(w.m)
+    binv[:old_rows, :old_rows] = warm.binv
+    binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
     w._install(list(warm.basis) +
-               [w.n + w.na + i for i in range(old_rows, w.m)])
+               [w.n + w.na + i for i in range(old_rows, w.m)],
+               binv, warm.changes)
     # nonbasic statuses may point at a now-infinite bound after a bound change
     for j in range(w.n):
         if w.stat[j] == AT_UPPER and not math.isfinite(w.up[j]):

@@ -250,6 +250,33 @@ def test_byte_identical_output(runner, cli, args):
     assert run_ok(runner, cli, args) == run_ok(runner, cli, args)
 
 
+# Stdout recorded from the bundled models; any change to a ranked stream, a
+# tie order or a float's last digit shows here.
+GOLDEN_CASES = [
+    ("tony_solve", abduce_cli, ["solve", TONY]),
+    ("tony_enumerate", abduce_cli, ["enumerate", TONY, "--k", "all"]),
+    ("tony_enumerate_cardinal", abduce_cli,
+     ["enumerate", TONY, "--k", "all", "--mode", "cardinal"]),
+    ("fig41_solve", mpe_cli, ["solve", FIG]),
+    ("fig41_solve_c_true", mpe_cli, ["solve", FIG, "--evidence", "C=true"]),
+    ("fig41_solve_strict", mpe_cli,
+     ["solve", FIG, "--strict-permissibility"]),
+    ("fig41_enumerate", mpe_cli, ["enumerate", FIG, "--k", "all"]),
+    ("fig41_enumerate_c_true", mpe_cli,
+     ["enumerate", FIG, "--k", "all", "--evidence", "C=true"]),
+    ("fig41_enumerate_strict", mpe_cli,
+     ["enumerate", FIG, "--k", "all", "--strict-permissibility"]),
+]
+
+
+@pytest.mark.parametrize("name,cli,args", GOLDEN_CASES,
+                         ids=[name for name, _, _ in GOLDEN_CASES])
+def test_stdout_matches_golden(runner, data_dir, name, cli, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (data_dir / f"{name}.jsonl").read_text()
+
+
 def test_floats_serialized_with_17_digits(runner):
     out = run_ok(runner, mpe_cli, ["solve", FIG, "--evidence", "C=true"])
     record = json.loads(out)

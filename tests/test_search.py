@@ -19,6 +19,7 @@ from abduce.constraints import (
 )
 from abduce.errors import (
     EmptyScope,
+    InvariantViolation,
     NodeLimitExceeded,
     NotStrictlyMonotonic,
 )
@@ -421,3 +422,18 @@ def test_bound_audit_respects_subproblem_optimum(tony):
     best = search.solve_optimal(system, search.BnbConfig(audit=audit))
     assert best.cost == pytest.approx(9, abs=1e-9)
     assert checked  # the hook actually ran
+
+
+# --- invariant checks ---------------------------------------------------------
+
+def test_weak_duality_check_fires(tony, monkeypatch):
+    # an integral point priced below the LP bound breaks weak duality
+    monkeypatch.setattr(search, "objective", lambda system, s: -1.0)
+    with pytest.raises(InvariantViolation, match="weak duality"):
+        search.solve_optimal(encode_waodag(tony).system)
+
+
+def test_permissibility_check_fires(fig, monkeypatch):
+    monkeypatch.setattr(search, "is_permissible", lambda enc, s: False)
+    with pytest.raises(InvariantViolation, match="not permissible"):
+        search.enumerate_permissible(encode_bayesnet(fig), 1)

@@ -125,6 +125,34 @@ class TestSolve:
 
 # --- warm re-solve ------------------------------------------------------------
 
+def count_inversions(monkeypatch):
+    """Record the shape of every basis inverse computed from scratch."""
+    inversions = []
+    invert = sx.lu_factor
+
+    def counting(B):
+        inversions.append(B.shape)
+        return invert(B)
+
+    monkeypatch.setattr(sx, "lu_factor", counting)
+    return inversions
+
+
+def basis_matrix(p, state):
+    """The basis columns of ``[A | artificials | I]`` for ``state``."""
+    m, n = p.A.shape
+    arts = np.zeros((m, len(state.arts)))
+    for k, (row, sign) in enumerate(state.arts):
+        arts[row, k] = sign
+    return np.hstack([p.A, arts, np.eye(m)])[:, state.basis]
+
+
+def assert_carried_inverse(p, r):
+    """``r.basis.binv`` inverts the basis matrix ``r`` ends on."""
+    err = r.basis.binv @ basis_matrix(p, r.basis) - np.eye(len(p.b))
+    assert np.abs(err).max(initial=0.0) <= 1e-9
+
+
 class TestResolveAfterCut:
     def test_tony_cut_drops_to_fractional_optimum(self, tony_lp):
         root = sx.solve(tony_lp)
@@ -161,6 +189,29 @@ class TestResolveAfterCut:
         assert r_up.objective == pytest.approx(sx.solve(up).objective, abs=1e-9)
         assert r_down.objective == pytest.approx(sx.solve(down).objective,
                                                  abs=1e-9)
+
+    def test_children_leave_parent_inverse_alone(self, tony_lp):
+        root = sx.solve(tony_lp)
+        before = root.basis.binv.tobytes()
+        j = tony_lp.index["Tony-out"]
+        children = [sx.solve(sx.with_bounds(tony_lp, j, v, v),
+                             warm=root.basis) for v in (0.0, 1.0)]
+        children.append(sx.solve(sx.add_row(tony_lp, LinearConstraint(
+            ((1.0, "Tony-out"),), "<=", 0.0)), warm=root.basis))
+        assert any(c.basis.changes > root.basis.changes for c in children)
+        assert root.basis.binv.tobytes() == before
+
+    def test_warm_solve_reuses_the_inverse(self, tony_lp, monkeypatch):
+        root = sx.solve(tony_lp)
+        inversions = count_inversions(monkeypatch)
+        cut = sx.add_row(tony_lp, LinearConstraint(
+            ((1.0, "Tony-out"),), "<=", 0.0))
+        fixed = sx.with_bounds(tony_lp, tony_lp.index["Tony-in"], 1.0, 1.0)
+        for p in (cut, fixed):
+            r = sx.solve(p, warm=root.basis)
+            assert r.basis.changes < sx.REFACTOR_EVERY
+            assert_carried_inverse(p, r)
+        assert inversions == []
 
     def test_fixing_all_hypotheses_off_is_infeasible(self, tony_lp):
         root = sx.solve(tony_lp)
@@ -201,6 +252,7 @@ def test_randomized_resolve_matches_scratch(seed):
         assert warm.status == cold.status
         if warm.status == sx.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert_carried_inverse(p, warm)
         parent = warm
 
 
@@ -249,27 +301,17 @@ def test_cold_solve_matches_highs(make, seed, linprog):
 
 def test_bayes_instances_reach_the_refresh(monkeypatch):
     """Some cold solves above run past ``REFACTOR_EVERY`` basis changes, so
-    they invert their basis more than once."""
-    inversions = []
-    invert = sx.lu_factor
-
-    def counting(B):
-        inversions.append(B.shape)
-        return invert(B)
-
-    monkeypatch.setattr(sx, "lu_factor", counting)
+    they compute the inverse from scratch at least once (a cold start
+    inverts nothing: its inverse is a diagonal of +-1)."""
+    inversions = count_inversions(monkeypatch)
     for seed in range(6):
         sx.solve(bayes_lp(seed))
-    assert len(inversions) > 6
+    assert len(inversions) >= 1
 
 
-@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
-@pytest.mark.parametrize("seed", range(4))
-def test_warm_chain_matches_highs(make, seed, linprog):
-    """Warm re-solves after random cuts and bound fixes agree with HiGHS."""
-    rng = random.Random(seed)
-    p = make(seed)
-    parent = sx.solve(p)
+def check_warm_chain(p, parent, rng, linprog):
+    """Warm re-solves after random cuts and bound fixes agree with HiGHS and
+    end on the inverse of their basis."""
     for _ in range(8):
         if parent.status != sx.OPTIMAL:
             break
@@ -281,3 +323,22 @@ def test_warm_chain_matches_highs(make, seed, linprog):
             p = sx.with_bounds(p, j, v, v)
         parent = sx.solve(p, warm=parent.basis)
         assert_matches_highs(p, parent, linprog)
+        if parent.status == sx.OPTIMAL:
+            assert_carried_inverse(p, parent)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_chain_matches_highs(make, seed, linprog):
+    p = make(seed)
+    check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
+
+
+def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
+    """The basis changes carried along this chain pass ``REFACTOR_EVERY``
+    inside a warm solve, which computes the inverse from scratch."""
+    p = bayes_lp(10)
+    root = sx.solve(p)
+    inversions = count_inversions(monkeypatch)
+    check_warm_chain(p, root, random.Random(10), linprog)
+    assert len(inversions) >= 1
