@@ -16,7 +16,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import bayes as bn
 from . import simplex as sx
@@ -53,8 +53,6 @@ class BnbConfig:
     prune_eps: float = 1e-9
     node_limit: int = 1_000_000
     solution_cap: int = 100_000
-    # test hook: called with (fixed-variable dict, node LP bound)
-    audit: Optional[Callable[[Dict[str, int], float], None]] = None
 
 
 @dataclass
@@ -113,19 +111,16 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     if root.status != sx.OPTIMAL:
         return None, None, root
     counter = itertools.count()
-    heap: List[Tuple[float, int, Dict[int, int], sx.LpProblem,
-                     sx.LpResult]] = []
-    heapq.heappush(heap, (root.objective, next(counter), {}, p, root))
+    heap: List[Tuple[float, int, sx.LpProblem, sx.LpResult]] = []
+    heapq.heappush(heap, (root.objective, next(counter), p, root))
     incumbent = None
     inc_cost = math.inf
     nodes = 0
     names = p.names
     while heap:
-        bound, _, fixes, node_p, res = heapq.heappop(heap)
+        bound, _, node_p, res = heapq.heappop(heap)
         if bound >= inc_cost - cfg.prune_eps:
             break
-        if cfg.audit is not None:
-            cfg.audit({names[j]: v for j, v in fixes.items()}, bound)
         x = res.x
         frac_j = _pick_fractional(x, scope, cfg.int_tol)
         if frac_j < 0:
@@ -136,12 +131,14 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
             if bound > cost01 + 1e-9:
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
-            feasible = satisfies(system, rounded, tol=1e-6)
+            if not satisfies(system, rounded, tol=1e-6):
+                raise InvariantViolation(
+                    "integral LP optimum violates the system")
         else:
             # rounding heuristic: a feasible integer point tightens pruning early
-            feasible = satisfies(system, rounded, tol=1e-9)
-            cost01 = objective(system, rounded) if feasible else math.inf
-        if feasible and cost01 < inc_cost - 1e-12:
+            cost01 = (objective(system, rounded)
+                      if satisfies(system, rounded, tol=1e-9) else math.inf)
+        if cost01 < inc_cost - 1e-12:
             incumbent = rounded
             inc_cost = cost01
         if frac_j < 0:
@@ -157,7 +154,7 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
             if child.objective >= inc_cost - cfg.prune_eps:
                 continue
             heapq.heappush(heap, (child.objective, next(counter),
-                                  {**fixes, frac_j: v}, child_p, child))
+                                  child_p, child))
     if incumbent is None:
         return None, None, root
     return incumbent, inc_cost, root

@@ -1,24 +1,35 @@
 """Bounded-variable revised simplex over [0,1] relaxations.
 
-Solves min c.x subject to the system rows with every variable boxed, via a
-two-phase primal simplex; re-solves after adding cut rows or changing bounds
-with a dual simplex warm-started from the parent basis.  Dense arithmetic;
-the systems this package generates are desk scale.
+Solves min c.x subject to the system rows with every variable boxed, over
+the column layout ``[A | I]``: the structural columns, then one slack per
+row.  Every solve is a dual simplex from a dual-feasible basis, followed by
+a primal pass that certifies optimality (and repairs any drift).  Because
+every variable is boxed, the slack basis is dual feasible once each
+structural column sits at the bound its cost sign picks (upper when
+``c_j < 0``, else lower): that is where a cold solve starts, with no
+artificial columns and no phase 1.  A warm solve starts from its parent's
+optimal basis instead, after adding cut rows or changing bounds.  A dual
+simplex that runs out of entering columns from a dual-feasible start has
+proved the problem infeasible.  Dense arithmetic; the systems this package
+generates are desk scale.
 
 Each solve keeps the explicit inverse of its basis matrix and never inverts
-a basis it can already name the inverse of.  A cold start's basis is slack
-and artificial unit columns, so its inverse is a diagonal of +-1.  A warm
-start carries the parent's inverse: a bound change leaves the basis matrix
-as it was, and appending rows ``R`` borders it to ``[[B, 0], [R, I]]``, whose
-inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each basis change applies a
-rank-one (eta) update, the product form of the inverse, and the inverse is
-computed from scratch only after ``REFACTOR_EVERY`` of them, counted across
-the whole chain of warm solves, to shed rounding drift.  A bound flip leaves
-the basis, and so the inverse, unchanged.
+a basis it can already name the inverse of.  The slack basis is ``I``, and
+so is its inverse.  A warm start carries the parent's inverse: a bound
+change leaves the basis matrix as it was, and appending rows ``R`` borders it
+to ``[[B, 0], [R, I]]``, whose inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each
+basis change applies a rank-one (eta) update, the product form of the
+inverse, and the inverse is computed from scratch only after
+``REFACTOR_EVERY`` of them, counted across the whole chain of warm solves,
+to shed rounding drift.  A bound flip leaves the basis, and so the inverse,
+unchanged.
 
-Pivot rules are fixed for determinism: largest reduced cost with a Bland
-fallback after a degeneracy streak, ratio-test ties to the lowest variable
-index.
+Pivot rules are fixed for determinism.  The primal enters on the largest
+reduced cost, the dual leaves on the largest infeasibility; ratio-test ties
+go to the lowest variable index.  After ``BLAND_AFTER`` consecutive
+degenerate pivots both switch to Bland's rule, which cannot cycle: the
+primal enters on the lowest eligible index, the dual leaves on the lowest
+infeasible basic index.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .constraints import EQ, GE, LE, ConstraintSystem, LinearConstraint
+from .constraints import GE, LE, ConstraintSystem, LinearConstraint
 from .errors import IterationLimit
 
 FEAS_TOL = 1e-7
@@ -63,12 +74,11 @@ class LpProblem:
 
 @dataclass
 class BasisState:
-    """Warm-start handle: basis membership, retained artificial columns, and
-    the basis inverse with the basis changes applied to it since it was last
-    computed from scratch.  Warm solves copy ``binv``; none writes to it."""
+    """Warm-start handle: basis membership and the basis inverse with the
+    basis changes applied to it since it was last computed from scratch.
+    Warm solves copy ``binv``; none writes to it."""
     basis: List[int]
     stat: np.ndarray
-    arts: Tuple[Tuple[int, float], ...]
     binv: np.ndarray
     changes: int
 
@@ -136,22 +146,18 @@ def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
 
 
 class _Worker:
-    """One solve session: structural | artificial | slack column layout."""
+    """One solve session over the structural | slack column layout."""
 
-    def __init__(self, p: LpProblem, arts: Tuple[Tuple[int, float], ...]):
+    def __init__(self, p: LpProblem):
         self.p = p
         self.m, self.n = p.A.shape
-        self.arts = tuple(arts)
-        self.na = len(self.arts)
-        m, n, na = self.m, self.n, self.na
-        Aart = np.zeros((m, na))
-        for k, (row, sign) in enumerate(self.arts):
-            Aart[row, k] = sign
-        self.A = np.hstack([p.A, Aart, np.eye(m)]) if m else np.zeros((0, n + na))
-        self.ntot = n + na + m
+        m, n = self.m, self.n
+        self.A = np.hstack([p.A, np.eye(m)])
+        self.ntot = n + m
         slack_up = np.array([math.inf if r == LE else 0.0 for r in p.rel])
-        self.lo = np.concatenate([p.lower, np.zeros(na), np.zeros(m)])
-        self.up = np.concatenate([p.upper, np.zeros(na), slack_up])
+        self.lo = np.concatenate([p.lower, np.zeros(m)])
+        self.up = np.concatenate([p.upper, slack_up])
+        self.c = np.concatenate([p.c, np.zeros(m)])
         self.stat = np.full(self.ntot, AT_LOWER, dtype=np.int8)
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
@@ -192,8 +198,8 @@ class _Worker:
         x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x)
         return x
 
-    def _reduced_costs(self, c) -> np.ndarray:
-        return c - lu_solve(self.binv, c[self.basis], trans=1) @ self.A
+    def _reduced_costs(self) -> np.ndarray:
+        return self.c - lu_solve(self.binv, self.c[self.basis], trans=1) @ self.A
 
     def _movable(self) -> np.ndarray:
         out = (self.stat != BASIC) & (self.up > self.lo + 1e-12)
@@ -206,17 +212,11 @@ class _Worker:
 
     # -- primal --------------------------------------------------------------
 
-    def primal(self, c: np.ndarray) -> str:
+    def primal(self) -> str:
         degen = 0
         while True:
-            if self.m == 0:
-                # no rows: push every variable to its cheaper finite bound
-                for j in range(self.ntot):
-                    if self.up[j] > self.lo[j] and c[j] < -OPT_TOL:
-                        self.stat[j] = AT_UPPER
-                return OPTIMAL
             x = self._values()
-            d = self._reduced_costs(c)
+            d = self._reduced_costs()
             movable = self._movable()
             score = np.zeros(self.ntot)
             at_lo = movable & (self.stat == AT_LOWER)
@@ -235,9 +235,8 @@ class _Worker:
             w = lu_solve(self.binv, self.A[:, j])
             xB = x[self.basis]
             # entering step t changes basic values by -dirn*t*w
-            basis_arr = np.asarray(self.basis)
-            lo_b = self.lo[basis_arr]
-            up_b = self.up[basis_arr]
+            lo_b = self.lo[self.basis]
+            up_b = self.up[self.basis]
             delta = dirn * w
             lim = np.full(self.m, math.inf)
             pos = delta > PIVOT_TOL
@@ -256,7 +255,7 @@ class _Worker:
             tie_key = j if t_bound <= best_t + RATIO_TIE_TOL else self.ntot + 1
             near = np.flatnonzero(lim <= best_t + RATIO_TIE_TOL)
             for i in near:
-                bi = int(basis_arr[i])
+                bi = self.basis[i]
                 if bi < tie_key:
                     tie_key = bi
                     leave_pos = int(i)
@@ -269,9 +268,9 @@ class _Worker:
                 self._replace(leave_pos, j, w, leave_to)
             self._tick()
 
-    def _dual_feasible(self, c, tol: float = 1e-7) -> bool:
+    def _dual_feasible(self, tol: float = 1e-7) -> bool:
         """Reduced-cost signs consistent with every movable nonbasic status."""
-        d = self._reduced_costs(c)
+        d = self._reduced_costs()
         movable = self._movable()
         lo_ok = d[movable & (self.stat == AT_LOWER)] >= -tol
         up_ok = d[movable & (self.stat == AT_UPPER)] <= tol
@@ -279,24 +278,26 @@ class _Worker:
 
     # -- dual ----------------------------------------------------------------
 
-    def dual(self, c: np.ndarray) -> str:
+    def dual(self) -> str:
+        degen = 0
         while True:
-            if self.m == 0:
-                return OPTIMAL
-            x = self._values()
-            xB = x[self.basis]
-            lo_b = self.lo[np.array(self.basis)]
-            up_b = self.up[np.array(self.basis)]
-            below = lo_b - xB
-            above = xB - up_b
-            above[np.isinf(up_b)] = -math.inf
+            bland = degen >= BLAND_AFTER
+            xB = self._values()[self.basis]
+            below = self.lo[self.basis] - xB
+            above = xB - self.up[self.basis]
             viol = np.maximum(below, above)
-            pos = int(np.argmax(viol))
-            if viol[pos] <= FEAS_TOL:
+            infeasible = viol > FEAS_TOL
+            if not infeasible.any():
                 return OPTIMAL
+            if bland:
+                # the lowest-index infeasible basic variable leaves
+                pos = int(np.argmin(np.where(infeasible, self.basis,
+                                             self.ntot)))
+            else:
+                pos = int(np.argmax(viol))
             leaving_below = below[pos] >= above[pos]
             alpha = self.binv[pos] @ self.A
-            d = self._reduced_costs(c)
+            d = self._reduced_costs()
             movable = self._movable()
             at_lo = movable & (self.stat == AT_LOWER)
             at_up = movable & (self.stat == AT_UPPER)
@@ -308,95 +309,66 @@ class _Worker:
                 return INFEASIBLE
             ratios = np.full(self.ntot, math.inf)
             ratios[elig] = np.abs(d[elig]) / np.abs(alpha[elig])
-            j = int(np.argmin(ratios))  # first minimum: lowest index at ties
+            if bland:
+                # the lowest index among ratio ties enters
+                j = int(np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)[0])
+            else:
+                j = int(np.argmin(ratios))  # first minimum: lowest index at ties
+            degen = degen + 1 if ratios[j] <= 1e-10 else 0
             self._replace(pos, j, lu_solve(self.binv, self.A[:, j]),
                           AT_LOWER if leaving_below else AT_UPPER)
             self._tick()
 
-    # -- costs ---------------------------------------------------------------
-
-    def real_cost(self) -> np.ndarray:
-        c = np.zeros(self.ntot)
-        c[:self.n] = self.p.c
-        return c
-
     def result(self) -> LpResult:
         xs = self._values()[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
-        state = BasisState(list(self.basis), self.stat.copy(), self.arts,
-                           self.binv, self.changes)
+        state = BasisState(list(self.basis), self.stat.copy(), self.binv,
+                           self.changes)
         return LpResult(OPTIMAL, xs, obj, state)
 
 
-def _cold_solve(p: LpProblem) -> LpResult:
-    m = len(p.b)
-    # structural at lower, slacks tentatively basic
-    resid = p.b - p.A @ p.lower
-    arts: List[Tuple[int, float]] = []
-    for i in range(m):
-        infeasible = (p.rel[i] == LE and resid[i] < -FEAS_TOL) or \
-                     (p.rel[i] == EQ and abs(resid[i]) > FEAS_TOL)
-        if infeasible:
-            arts.append((i, 1.0 if resid[i] > 0 else -1.0))
-    w = _Worker(p, tuple(arts))
-    basis = [w.n + w.na + i for i in range(m)]
-    sign = np.ones(m)
-    for k, (row, s) in enumerate(arts):
-        basis[row] = w.n + k
-        sign[row] = s
-    w._install(basis, np.diag(sign), 0)
-    if arts:
-        # phase 1: open the artificials and minimize their sum
-        for k in range(w.na):
-            w.up[w.n + k] = math.inf
-        c1 = np.zeros(w.ntot)
-        c1[w.n:w.n + w.na] = 1.0
-        w.primal(c1)
-        if float(c1 @ w._values()) > FEAS_TOL:
-            return LpResult(INFEASIBLE, None, None, None)
-        w.up[w.n:w.n + w.na] = 0.0
-        for k in range(w.na):
-            if w.stat[w.n + k] == AT_UPPER:
-                w.stat[w.n + k] = AT_LOWER
-    w.primal(w.real_cost())
-    return w.result()
-
-
-def _warm_solve(p: LpProblem, warm: BasisState) -> LpResult:
-    w = _Worker(p, warm.arts)
-    old_rows = warm.binv.shape[0]
-    # old stat layout: struct | arts | old slacks; new slacks append at the end
-    w.stat[:w.n + w.na + old_rows] = warm.stat
-    # new rows are 0 in artificial and old slack columns, so the old basis
-    # columns read A[new rows, old basis] there and the new slacks read I
-    binv = np.eye(w.m)
-    binv[:old_rows, :old_rows] = warm.binv
-    binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
-    w._install(list(warm.basis) +
-               [w.n + w.na + i for i in range(old_rows, w.m)],
-               binv, warm.changes)
-    # nonbasic statuses may point at a now-infinite bound after a bound change
-    for j in range(w.n):
-        if w.stat[j] == AT_UPPER and not math.isfinite(w.up[j]):
-            w.stat[j] = AT_LOWER
-    c = w.real_cost()
-    dual_ok = w._dual_feasible(c)
-    status = w.dual(c)
-    if status == INFEASIBLE:
-        if dual_ok:
-            return LpResult(INFEASIBLE, None, None, None)
-        # dual infeasibility is only a proof when dual feasibility held;
-        # confirm from scratch before reporting
-        return _cold_solve(p)
-    w.primal(c)
+def _solve_from(p: LpProblem,
+                warm: Optional[BasisState]) -> Optional[LpResult]:
+    """Dual simplex from ``warm``, or from the slack basis when ``warm`` is
+    None, then the certifying primal pass.  None when the dual ran out of
+    entering columns from a start that had lost dual feasibility, which
+    proves nothing."""
+    w = _Worker(p)
+    if warm is None:
+        # each structural column at the bound its cost sign picks: with
+        # every variable boxed, the slack basis is then dual feasible
+        w.stat[:w.n] = np.where(p.c < 0, AT_UPPER, AT_LOWER)
+        w._install(list(range(w.n, w.ntot)), np.eye(w.m), 0)
+        proof = True
+    else:
+        old_rows = warm.binv.shape[0]
+        # old stat layout: struct | old slacks; new slacks append at the end
+        w.stat[:w.n + old_rows] = warm.stat
+        # new rows are 0 in the old slack columns, so the old basis columns
+        # read A[new rows, old basis] there and the new slacks read I
+        binv = np.eye(w.m)
+        binv[:old_rows, :old_rows] = warm.binv
+        binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
+        w._install(list(warm.basis) + list(range(w.n + old_rows, w.ntot)),
+                   binv, warm.changes)
+        proof = w._dual_feasible()
+    if w.dual() == INFEASIBLE:
+        return LpResult(INFEASIBLE, None, None, None) if proof else None
+    w.primal()
     return w.result()
 
 
 def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
-    """Solve the boxed LP; OPTIMAL with certificate basis, or INFEASIBLE."""
-    if warm is None:
-        return _cold_solve(p)
-    try:
-        return _warm_solve(p, warm)
-    except (IterationLimit, np.linalg.LinAlgError):
-        return _cold_solve(p)
+    """Solve the boxed LP; OPTIMAL with certificate basis, or INFEASIBLE.
+
+    A warm start that fails (it hits the pivot limit, meets a singular
+    basis, or reports an infeasibility it cannot prove) is retried once
+    from the slack basis."""
+    if warm is not None:
+        try:
+            r = _solve_from(p, warm)
+        except (IterationLimit, np.linalg.LinAlgError):
+            r = None
+        if r is not None:
+            return r
+    return _solve_from(p, None)

@@ -4,6 +4,7 @@ import pytest
 
 from abduce import bayes as bn
 from abduce import search
+from abduce import simplex as sx
 from abduce import waodag as wd
 from abduce.constraints import (
     ConstraintSystem,
@@ -402,26 +403,34 @@ def test_cost_monotone_in_every_stream(tony, fig):
             assert a <= b + 1e-9
 
 
-def test_bound_audit_respects_subproblem_optimum(tony):
-    """Every branch-and-bound node bound lower-bounds its best 0-1 point."""
+def test_bound_audit_respects_subproblem_optimum(tony, monkeypatch):
+    """Every LP that branch and bound solves lower-bounds the best 0-1 point
+    inside its variable bounds, and an infeasible one has no 0-1 point."""
     enc = encode_waodag(tony)
     # a cut system keeps fractional LP optima, so branching actually happens
     first = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
     system = enc.system.extended(
         [search.exclusion_cut(first, enc.system.variables)])
     points = all_01_points(system)
+    solve = sx.solve
     checked = []
 
-    def audit(fixes, bound):
+    def audited(p, warm=None):
+        r = solve(p, warm=warm)
         costs = [objective(system, s) for s in points
-                 if all(s[x] == v for x, v in fixes.items())]
-        if costs:
-            assert bound <= min(costs) + 1e-9
-        checked.append(bound)
+                 if all(p.lower[j] <= s[x] <= p.upper[j]
+                        for j, x in enumerate(p.names))]
+        if r.status == sx.OPTIMAL:
+            assert not costs or r.objective <= min(costs) + 1e-9
+        else:
+            assert not costs
+        checked.append(r.status)
+        return r
 
-    best = search.solve_optimal(system, search.BnbConfig(audit=audit))
+    monkeypatch.setattr(sx, "solve", audited)
+    best = search.solve_optimal(system)
     assert best.cost == pytest.approx(9, abs=1e-9)
-    assert checked  # the hook actually ran
+    assert len(checked) > 1  # the root and at least one branch
 
 
 # --- invariant checks ---------------------------------------------------------
@@ -430,6 +439,13 @@ def test_weak_duality_check_fires(tony, monkeypatch):
     # an integral point priced below the LP bound breaks weak duality
     monkeypatch.setattr(search, "objective", lambda system, s: -1.0)
     with pytest.raises(InvariantViolation, match="weak duality"):
+        search.solve_optimal(encode_waodag(tony).system)
+
+
+def test_integral_point_check_fires(tony, monkeypatch):
+    # an integral LP optimum that fails the system raises, never vanishes
+    monkeypatch.setattr(search, "satisfies", lambda system, s, tol: False)
+    with pytest.raises(InvariantViolation, match="violates the system"):
         search.solve_optimal(encode_waodag(tony).system)
 
 

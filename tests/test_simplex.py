@@ -1,5 +1,6 @@
-"""LP relaxation, primal simplex, and dual-simplex warm re-solves."""
+"""LP relaxation, cold and warm simplex solves, and the pivot rules."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -139,12 +140,8 @@ def count_inversions(monkeypatch):
 
 
 def basis_matrix(p, state):
-    """The basis columns of ``[A | artificials | I]`` for ``state``."""
-    m, n = p.A.shape
-    arts = np.zeros((m, len(state.arts)))
-    for k, (row, sign) in enumerate(state.arts):
-        arts[row, k] = sign
-    return np.hstack([p.A, arts, np.eye(m)])[:, state.basis]
+    """The basis columns of ``[A | I]`` for ``state``."""
+    return np.hstack([p.A, np.eye(len(p.b))])[:, state.basis]
 
 
 def assert_carried_inverse(p, r):
@@ -273,6 +270,33 @@ def waodag_lp(seed):
     return sx.relax(encode_waodag(random_waodag(seed, 20, 60)).system)
 
 
+def mixed_lp(seed):
+    """A relaxation with costs of both signs, so the slack start puts some
+    variables at their upper bound (both encodings price every variable at
+    0 or more)."""
+    p = waodag_lp(seed) if seed % 2 else bayes_lp(seed)
+    sign = np.random.default_rng(seed).choice([-1.0, 1.0], size=len(p.c))
+    return dataclasses.replace(p, c=sign * p.c)
+
+
+def dual_ends(monkeypatch):
+    """Record, for each dual simplex pass that ends OPTIMAL, whether its
+    final basis is still dual feasible.  From a dual-feasible start the
+    ratio test must keep it so, which leaves the certifying primal pass
+    nothing to do."""
+    ends = []
+    dual = sx._Worker.dual
+
+    def recording(worker):
+        status = dual(worker)
+        if status == sx.OPTIMAL:
+            ends.append(worker._dual_feasible())
+        return status
+
+    monkeypatch.setattr(sx._Worker, "dual", recording)
+    return ends
+
+
 def assert_matches_highs(p, r, linprog):
     """Same status and objective as HiGHS; ``r.x`` meets every row."""
     le = np.array([rel == "<=" for rel in p.rel], dtype=bool)
@@ -292,8 +316,11 @@ def assert_matches_highs(p, r, linprog):
     assert (r.x <= p.upper + sx.FEAS_TOL).all()
 
 
-@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
-@pytest.mark.parametrize("seed", range(6))
+COLD_SEEDS = range(12)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("seed", COLD_SEEDS)
 def test_cold_solve_matches_highs(make, seed, linprog):
     p = make(seed)
     assert_matches_highs(p, sx.solve(p), linprog)
@@ -302,9 +329,9 @@ def test_cold_solve_matches_highs(make, seed, linprog):
 def test_bayes_instances_reach_the_refresh(monkeypatch):
     """Some cold solves above run past ``REFACTOR_EVERY`` basis changes, so
     they compute the inverse from scratch at least once (a cold start
-    inverts nothing: its inverse is a diagonal of +-1)."""
+    inverts nothing: its slack basis is its own inverse, ``I``)."""
     inversions = count_inversions(monkeypatch)
-    for seed in range(6):
+    for seed in COLD_SEEDS:
         sx.solve(bayes_lp(seed))
     assert len(inversions) >= 1
 
@@ -327,7 +354,7 @@ def check_warm_chain(p, parent, rng, linprog):
             assert_carried_inverse(p, parent)
 
 
-@pytest.mark.parametrize("make", [bayes_lp, waodag_lp])
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
 @pytest.mark.parametrize("seed", range(4))
 def test_warm_chain_matches_highs(make, seed, linprog):
     p = make(seed)
@@ -337,8 +364,41 @@ def test_warm_chain_matches_highs(make, seed, linprog):
 def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
     """The basis changes carried along this chain pass ``REFACTOR_EVERY``
     inside a warm solve, which computes the inverse from scratch."""
-    p = bayes_lp(10)
+    p = bayes_lp(7)
     root = sx.solve(p)
     inversions = count_inversions(monkeypatch)
-    check_warm_chain(p, root, random.Random(10), linprog)
+    check_warm_chain(p, root, random.Random(7), linprog)
     assert len(inversions) >= 1
+
+
+# --- dual feasibility and Bland's rule ---------------------------------------
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_keeps_dual_feasibility(make, seed, linprog, monkeypatch):
+    ends = dual_ends(monkeypatch)
+    p = make(seed)
+    check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
+    assert ends and all(ends)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("seed", COLD_SEEDS)
+def test_bland_cold_solve_matches_highs(make, seed, linprog, monkeypatch):
+    """With ``BLAND_AFTER`` at 0 every pivot of both simplex passes follows
+    Bland's rule from the first one on."""
+    monkeypatch.setattr(sx, "BLAND_AFTER", 0)
+    ends = dual_ends(monkeypatch)
+    p = make(seed)
+    assert_matches_highs(p, sx.solve(p), linprog)
+    assert all(ends)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("seed", range(4))
+def test_bland_warm_chain_matches_highs(make, seed, linprog, monkeypatch):
+    monkeypatch.setattr(sx, "BLAND_AFTER", 0)
+    ends = dual_ends(monkeypatch)
+    p = make(seed)
+    check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
+    assert ends and all(ends)
