@@ -1,10 +1,13 @@
 """Optimal 0-1 solutions and k-best enumeration via cutting planes.
 
-Branch and bound over the LP relaxation finds optima; the enumeration loop
-adds one cut per emitted solution and re-solves, warm-starting the root from
-the previous basis.  Every cut and every branching choice ranges over the
-system's determining scope (``ConstraintSystem.scope``): the hypotheses of a
-graph encoding, the indicators of a Bayesian encoding, all variables of a
+Best-first branch and bound over the LP relaxation finds optima: it pops
+nodes in order of their LP bound, and the first node whose LP optimum is
+integral is optimal, because that point costs its bound and every bound left
+in the heap is at least as high.  The enumeration loop adds one cut per
+emitted solution and re-solves, warm-starting the root from the previous
+basis.  Every cut and every branching choice ranges over the system's
+determining scope (``ConstraintSystem.scope``): the hypotheses of a graph
+encoding, the indicators of a Bayesian encoding, all variables of a
 hand-built system.  Because the scope fixes every other variable, an
 exclusion cut over it removes exactly one 0-1 point.  The three modes differ
 only in the cut shape and in how a solution is reported.
@@ -45,14 +48,8 @@ from .errors import (
 )
 
 ALL = "all"
-
-
-@dataclass
-class BnbConfig:
-    int_tol: float = 1e-7
-    prune_eps: float = 1e-9
-    node_limit: int = 1_000_000
-    solution_cap: int = 100_000
+INT_TOL = 1e-7
+NODE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -84,13 +81,13 @@ def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
                             float(len(on) - 1))
 
 
-def _pick_fractional(x, indices, int_tol: float) -> int:
+def _pick_fractional(x, indices) -> int:
     """Most fractional variable among ``indices``; ties to the lowest index."""
     frac_j = -1
     frac_score = math.inf
     for j in indices:
         dist = min(abs(x[j]), abs(1.0 - x[j]))
-        if dist > int_tol:
+        if dist > INT_TOL:
             score = abs(x[j] - 0.5)
             if score < frac_score - 1e-12:
                 frac_score = score
@@ -99,9 +96,14 @@ def _pick_fractional(x, indices, int_tol: float) -> int:
 
 
 def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
-                      cfg: BnbConfig, warm: Optional[sx.BasisState]):
+                      warm: Optional[sx.BasisState]):
     """Returns (assignment or None, cost or None, root LpResult).
 
+    Nodes pop in order of their LP bound.  A node's bound is at most the cost
+    of every 0-1 point inside its variable bounds, and branching splits a
+    node's 0-1 points between its two children, so the heap always covers
+    every 0-1 point of the root.  The first integral node popped therefore
+    costs no more than any of them, and the search returns its point.
     Branches on the most fractional scope variable; a fractional variable
     outside the scope is branched on only when the whole scope is integral.
     """
@@ -111,66 +113,47 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     if root.status != sx.OPTIMAL:
         return None, None, root
     counter = itertools.count()
-    heap: List[Tuple[float, int, sx.LpProblem, sx.LpResult]] = []
-    heapq.heappush(heap, (root.objective, next(counter), p, root))
-    incumbent = None
-    inc_cost = math.inf
+    heap: List[Tuple[float, int, sx.LpProblem, sx.LpResult]] = [
+        (root.objective, next(counter), p, root)]
     nodes = 0
     names = p.names
     while heap:
         bound, _, node_p, res = heapq.heappop(heap)
-        if bound >= inc_cost - cfg.prune_eps:
-            break
         x = res.x
-        frac_j = _pick_fractional(x, scope, cfg.int_tol)
+        frac_j = _pick_fractional(x, scope)
         if frac_j < 0:
-            frac_j = _pick_fractional(x, range(len(names)), cfg.int_tol)
-        rounded = {names[j]: int(round(x[j])) for j in range(len(names))}
+            frac_j = _pick_fractional(x, range(len(names)))
         if frac_j < 0:
-            cost01 = objective(system, rounded)
+            s = {names[j]: int(round(x[j])) for j in range(len(names))}
+            cost01 = objective(system, s)
             if bound > cost01 + 1e-9:
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
-            if not satisfies(system, rounded, tol=1e-6):
+            if not satisfies(system, s, tol=1e-6):
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
-        else:
-            # rounding heuristic: a feasible integer point tightens pruning early
-            cost01 = (objective(system, rounded)
-                      if satisfies(system, rounded, tol=1e-9) else math.inf)
-        if cost01 < inc_cost - 1e-12:
-            incumbent = rounded
-            inc_cost = cost01
-        if frac_j < 0:
-            continue
+            return s, cost01, root
         nodes += 1
-        if nodes > cfg.node_limit:
+        if nodes > NODE_LIMIT:
             raise NodeLimitExceeded(f"{nodes} branch-and-bound nodes")
         for v in (0, 1):
             child_p = sx.with_bounds(node_p, frac_j, float(v), float(v))
             child = sx.solve(child_p, warm=res.basis)
-            if child.status != sx.OPTIMAL:
-                continue
-            if child.objective >= inc_cost - cfg.prune_eps:
-                continue
-            heapq.heappush(heap, (child.objective, next(counter),
-                                  child_p, child))
-    if incumbent is None:
-        return None, None, root
-    return incumbent, inc_cost, root
+            if child.status == sx.OPTIMAL:
+                heapq.heappush(heap, (child.objective, next(counter),
+                                      child_p, child))
+    return None, None, root
 
 
-def solve_optimal(system: ConstraintSystem,
-                  cfg: Optional[BnbConfig] = None) -> Optional[RankedSolution]:
+def solve_optimal(system: ConstraintSystem) -> Optional[RankedSolution]:
     """Minimum-cost 0-1 solution, or None when no 0-1 solution exists."""
-    cfg = cfg or BnbConfig()
-    s, cost01, _ = _branch_and_bound(system, sx.relax(system), cfg, None)
+    s, cost01, _ = _branch_and_bound(system, sx.relax(system), None)
     if s is None:
         return None
     return RankedSolution(1, s, cost01)
 
 
-def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k, cut, finish):
+def _cut_loop(system: ConstraintSystem, k, cut, finish):
     """Shared enumeration loop: solve, emit, cut over the scope, re-solve
     warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s)`` reports."""
     current = system
@@ -178,11 +161,13 @@ def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k, cut, finish):
     warm = None
     out: List[RankedSolution] = []
     want = math.inf if k == ALL else int(k)
-    while len(out) < min(want, cfg.solution_cap):
-        s, _, root = _branch_and_bound(current, p, cfg, warm)
+    while len(out) < want:
+        s, _, root = _branch_and_bound(current, p, warm)
         if s is None:
             break
         out.append(finish(len(out) + 1, s))
+        if len(out) == want:
+            break
         try:
             row = cut(s, system.scope)
         except EmptyBaseSet:
@@ -193,32 +178,27 @@ def _cut_loop(system: ConstraintSystem, cfg: BnbConfig, k, cut, finish):
     return out
 
 
-def enumerate_best(system: ConstraintSystem, k,
-                   cfg: Optional[BnbConfig] = None) -> List[RankedSolution]:
+def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
     """The k best 0-1 solutions in cost order; k may be ALL."""
-    cfg = cfg or BnbConfig()
 
     def finish(rank, s):
         return RankedSolution(rank, s, objective(system, s))
 
-    return _cut_loop(system, cfg, k, exclusion_cut, finish)
+    return _cut_loop(system, k, exclusion_cut, finish)
 
 
 def enumerate_cardinal(enc: WaodagEncoding, k,
-                       cfg: Optional[BnbConfig] = None,
-                       delta: Optional[float] = None,
-                       auto_perturb: bool = True) -> List[RankedSolution]:
+                       delta: Optional[float] = None) -> List[RankedSolution]:
     """The k best cardinal solutions; needs a strictly monotonic graph.
 
-    MONOTONIC graphs are perturbed by ``delta`` for the search when
-    ``auto_perturb`` is on; reported costs always use the original costs.
+    MONOTONIC graphs are perturbed by ``delta`` for the search; reported
+    costs always use the original costs.
     """
-    cfg = cfg or BnbConfig()
     w = enc.waodag
     cls = wd.monotonicity_class(w)
     if cls is wd.Monotonicity.STRICT:
         search_enc = enc
-    elif cls is wd.Monotonicity.MONOTONIC and auto_perturb:
+    elif cls is wd.Monotonicity.MONOTONIC:
         from .constraints import encode_waodag
         d = delta if delta is not None else default_delta(enc.system)
         search_enc = encode_waodag(wd.perturb_strict(w, d), enc.essential)
@@ -229,11 +209,10 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
     def finish(rank, s):
         return RankedSolution(rank, s, objective(enc.system, s))
 
-    return _cut_loop(search_enc.system, cfg, k, cardinal_cut, finish)
+    return _cut_loop(search_enc.system, k, cardinal_cut, finish)
 
 
 def enumerate_permissible(enc: BayesEncoding, k,
-                          cfg: Optional[BnbConfig] = None,
                           delta: Optional[float] = None,
                           strict_mode: bool = False) -> List[RankedSolution]:
     """The k most probable explanations for the encoding's evidence.
@@ -243,7 +222,6 @@ def enumerate_permissible(enc: BayesEncoding, k,
     The indicators are the determining scope, so each emitted solution is a
     distinct instantiation-set.
     """
-    cfg = cfg or BnbConfig()
     if strict_mode:
         work = add_permissibility_constraints(enc)
     else:
@@ -258,4 +236,4 @@ def enumerate_permissible(enc: BayesEncoding, k,
                               probability=bn.probability(enc.network, w),
                               instantiation=w)
 
-    return _cut_loop(work.system, cfg, k, exclusion_cut, finish)
+    return _cut_loop(work.system, k, exclusion_cut, finish)

@@ -183,15 +183,15 @@ class TestSolveOptimal:
         assert best.cost == pytest.approx(oracle[0][1], abs=1e-6)
         assert satisfies(enc.system, best.assignment)
 
-    def test_node_limit(self, tony):
+    def test_node_limit(self, tony, monkeypatch):
         enc = encode_waodag(wd.perturb_strict(tony, 0.5))
-        cfg = search.BnbConfig(node_limit=0)
+        # cutting the root's integral optimum leaves a fractional LP optimum
+        cut = search.exclusion_cut(
+            truth_to_solution(enc, wd.propagate(tony, {"Tony-out"})),
+            enc.system.variables)
+        monkeypatch.setattr(search, "NODE_LIMIT", 0)
         with pytest.raises(NodeLimitExceeded):
-            # forbid the incumbent-by-rounding shortcut to force branching
-            cut = search.exclusion_cut(
-                truth_to_solution(enc, wd.propagate(tony, {"Tony-out"})),
-                enc.system.variables)
-            search.solve_optimal(enc.system.extended([cut]), cfg)
+            search.solve_optimal(enc.system.extended([cut]))
 
 
 # --- full enumeration ---------------------------------------------------------
@@ -300,11 +300,6 @@ class TestEnumerateCardinal:
                             tony.cost_true, cost_false, tony.evidence)
         with pytest.raises(NotStrictlyMonotonic):
             search.enumerate_cardinal(encode_waodag(w), search.ALL)
-
-    def test_refuses_monotonic_without_auto_perturb(self, tony):
-        with pytest.raises(NotStrictlyMonotonic):
-            search.enumerate_cardinal(encode_waodag(tony), search.ALL,
-                                      auto_perturb=False)
 
     def test_zero_gap_extra_hypothesis(self, tony):
         w = wd.Waodag.build(
@@ -431,6 +426,69 @@ def test_bound_audit_respects_subproblem_optimum(tony, monkeypatch):
     best = search.solve_optimal(system)
     assert best.cost == pytest.approx(9, abs=1e-9)
     assert len(checked) > 1  # the root and at least one branch
+
+
+# --- work per rank ------------------------------------------------------------
+
+def _rank_stream(mode, instance):
+    """The search of ``mode`` (k=ALL) on tony/fig41 or a seeded model."""
+    if mode == "permissible":
+        if instance == "fig41":
+            net, e = three_var_network(), {"C": T}
+        else:
+            net = random_bayesnet(instance, n_variables=4)
+            e = random_evidence(instance + 1000, net)
+        enc = apply_evidence(encode_bayesnet(net), e)
+        return search.enumerate_permissible(enc, search.ALL)
+    w = (tony_graph() if instance == "tony" else
+         random_waodag(instance, n_hypotheses=4 + instance,
+                       n_internal=6 + instance))
+    enc = encode_waodag(w)
+    if mode == "optimum":
+        return [search.solve_optimal(enc.system)]
+    if mode == "best":
+        return search.enumerate_best(enc.system, search.ALL)
+    return search.enumerate_cardinal(enc, search.ALL)
+
+
+@pytest.mark.parametrize("mode, instance", [
+    *((m, i) for m in ("optimum", "best", "cardinal")
+      for i in ("tony", 0, 1, 2)),
+    *(("permissible", i) for i in ("fig41", 0, 1, 2)),
+])
+def test_one_point_check_per_rank(mode, instance, monkeypatch):
+    """Branch and bound checks one point per emitted rank: the first
+    integral node it pops, which is the optimum."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return satisfies(*args, **kwargs)
+
+    monkeypatch.setattr(search, "satisfies", counted)
+    ranked = _rank_stream(mode, instance)
+    assert ranked[0] is not None
+    assert len(calls) == len(ranked)
+
+
+def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
+    """A stream that reaches k adds one cut row per rank before the k-th."""
+    add_row = sx.add_row
+    calls = []
+
+    def counted(p, row):
+        calls.append(row)
+        return add_row(p, row)
+
+    monkeypatch.setattr(sx, "add_row", counted)
+    enc = encode_waodag(tony)
+    for k, run in ((3, lambda: search.enumerate_best(enc.system, 3)),
+                   (2, lambda: search.enumerate_cardinal(enc, 2)),
+                   (4, lambda: search.enumerate_permissible(
+                       apply_evidence(encode_bayesnet(fig), {"C": T}), 4))):
+        calls.clear()
+        assert len(run()) == k
+        assert len(calls) == k - 1
 
 
 # --- invariant checks ---------------------------------------------------------
