@@ -114,5 +114,11 @@ class NodeLimitExceeded(SolverLimit):
     pass
 
 
+class LostDualFeasibility(SolverLimit):
+    """A dual simplex from the slack basis ended on a basis that is not dual
+    feasible, so its optimum is not certified; rounding drift, never a
+    property of the input."""
+
+
 class ParseError(ModelError):
     pass

@@ -5,12 +5,13 @@ nodes in order of their LP bound, and the first node whose LP optimum is
 integral is optimal, because that point costs its bound and every bound left
 in the heap is at least as high.  The enumeration loop adds one cut per
 emitted solution and re-solves, warm-starting the root from the previous
-basis.  Every cut and every branching choice ranges over the system's
-determining scope (``ConstraintSystem.scope``): the hypotheses of a graph
-encoding, the indicators of a Bayesian encoding, all variables of a
-hand-built system.  Because the scope fixes every other variable, an
-exclusion cut over it removes exactly one 0-1 point.  The three modes differ
-only in the cut shape and in how a solution is reported.
+basis; ``solve_optimal`` is the same loop stopped at k=1.  Every cut and
+every branching choice ranges over the system's determining scope
+(``ConstraintSystem.scope``): the hypotheses of a graph encoding, the
+indicators of a Bayesian encoding, all variables of a hand-built system.
+Because the scope fixes every other variable, an exclusion cut over it
+removes exactly one 0-1 point.  The three modes differ only in the cut shape
+and in how a solution is reported.
 """
 
 from __future__ import annotations
@@ -145,27 +146,21 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     return None, None, root
 
 
-def solve_optimal(system: ConstraintSystem) -> Optional[RankedSolution]:
-    """Minimum-cost 0-1 solution, or None when no 0-1 solution exists."""
-    s, cost01, _ = _branch_and_bound(system, sx.relax(system), None)
-    if s is None:
-        return None
-    return RankedSolution(1, s, cost01)
-
-
 def _cut_loop(system: ConstraintSystem, k, cut, finish):
     """Shared enumeration loop: solve, emit, cut over the scope, re-solve
-    warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s)`` reports."""
+    warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s, cost)``
+    reports, where ``cost`` is the point's cost under the searched system
+    (cut rows carry no cost, so every extension prices points alike)."""
     current = system
     p = sx.relax(system)
     warm = None
     out: List[RankedSolution] = []
     want = math.inf if k == ALL else int(k)
     while len(out) < want:
-        s, _, root = _branch_and_bound(current, p, warm)
+        s, cost01, root = _branch_and_bound(current, p, warm)
         if s is None:
             break
-        out.append(finish(len(out) + 1, s))
+        out.append(finish(len(out) + 1, s, cost01))
         if len(out) == want:
             break
         try:
@@ -178,13 +173,15 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
     return out
 
 
+def solve_optimal(system: ConstraintSystem) -> Optional[RankedSolution]:
+    """Minimum-cost 0-1 solution, or None when no 0-1 solution exists."""
+    ranked = _cut_loop(system, 1, exclusion_cut, RankedSolution)
+    return ranked[0] if ranked else None
+
+
 def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
     """The k best 0-1 solutions in cost order; k may be ALL."""
-
-    def finish(rank, s):
-        return RankedSolution(rank, s, objective(system, s))
-
-    return _cut_loop(system, k, exclusion_cut, finish)
+    return _cut_loop(system, k, exclusion_cut, RankedSolution)
 
 
 def enumerate_cardinal(enc: WaodagEncoding, k,
@@ -206,7 +203,8 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
         raise NotStrictlyMonotonic(
             f"monotonicity class is {cls.value}; cannot run cardinal cuts")
 
-    def finish(rank, s):
+    def finish(rank, s, _):
+        # the search may run on perturbed costs; report the original ones
         return RankedSolution(rank, s, objective(enc.system, s))
 
     return _cut_loop(search_enc.system, k, cardinal_cut, finish)
@@ -228,7 +226,8 @@ def enumerate_permissible(enc: BayesEncoding, k,
         d = delta if delta is not None else default_delta(enc.system)
         work = ensure_positive_conditional_costs(enc, d)
 
-    def finish(rank, s):
+    def finish(rank, s, _):
+        # the search may run on nudged costs; report the original ones
         if not is_permissible(enc, s):
             raise InvariantViolation("optimum is not permissible")
         w = solution_to_instantiation(enc, s)

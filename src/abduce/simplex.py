@@ -2,16 +2,19 @@
 
 Solves min c.x subject to the system rows with every variable boxed, over
 the column layout ``[A | I]``: the structural columns, then one slack per
-row.  Every solve is a dual simplex from a dual-feasible basis, followed by
-a primal pass that certifies optimality (and repairs any drift).  Because
+row.  Every solve is a dual simplex from a dual-feasible basis.  Because
 every variable is boxed, the slack basis is dual feasible once each
 structural column sits at the bound its cost sign picks (upper when
 ``c_j < 0``, else lower): that is where a cold solve starts, with no
 artificial columns and no phase 1.  A warm solve starts from its parent's
-optimal basis instead, after adding cut rows or changing bounds.  A dual
-simplex that runs out of entering columns from a dual-feasible start has
-proved the problem infeasible.  Dense arithmetic; the systems this package
-generates are desk scale.
+optimal basis instead, after adding cut rows or changing bounds, and only
+if that basis is still dual feasible.  A dual simplex that runs out of
+entering columns from a dual-feasible start has proved the problem
+infeasible.  One that reaches a primal-feasible basis returns it as optimal
+only if the basis passes a final certificate: every reduced cost has the
+sign its nonbasic bound needs, to within ``OPT_TOL``.  The ratio test keeps
+those signs in exact arithmetic, so the certificate catches rounding drift
+alone.  Dense arithmetic; the systems this package generates are desk scale.
 
 Each solve keeps the explicit inverse of its basis matrix and never inverts
 a basis it can already name the inverse of.  The slack basis is ``I``, and
@@ -21,15 +24,13 @@ to ``[[B, 0], [R, I]]``, whose inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each
 basis change applies a rank-one (eta) update, the product form of the
 inverse, and the inverse is computed from scratch only after
 ``REFACTOR_EVERY`` of them, counted across the whole chain of warm solves,
-to shed rounding drift.  A bound flip leaves the basis, and so the inverse,
-unchanged.
+to shed rounding drift.
 
-Pivot rules are fixed for determinism.  The primal enters on the largest
-reduced cost, the dual leaves on the largest infeasibility; ratio-test ties
-go to the lowest variable index.  After ``BLAND_AFTER`` consecutive
-degenerate pivots both switch to Bland's rule, which cannot cycle: the
-primal enters on the lowest eligible index, the dual leaves on the lowest
-infeasible basic index.
+Pivot rules are fixed for determinism.  The dual leaves on the largest
+infeasibility and enters on the least ratio, ties to the lowest variable
+index.  After ``BLAND_AFTER`` consecutive degenerate pivots it switches to
+Bland's rule, which cannot cycle: it leaves on the lowest infeasible basic
+index and enters on the lowest index among ratio ties.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .constraints import GE, LE, ConstraintSystem, LinearConstraint
-from .errors import IterationLimit
+from .errors import IterationLimit, LostDualFeasibility
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -162,8 +163,6 @@ class _Worker:
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
 
-    # -- shared pieces -------------------------------------------------------
-
     def _install(self, basis: List[int], binv: np.ndarray,
                  changes: int) -> None:
         """Make ``basis`` current with ``binv``, its inverse after
@@ -210,73 +209,15 @@ class _Worker:
         if self.pivots > self.limit:
             raise IterationLimit(f"simplex exceeded {self.limit} pivots")
 
-    # -- primal --------------------------------------------------------------
-
-    def primal(self) -> str:
-        degen = 0
-        while True:
-            x = self._values()
-            d = self._reduced_costs()
-            movable = self._movable()
-            score = np.zeros(self.ntot)
-            at_lo = movable & (self.stat == AT_LOWER)
-            at_up = movable & (self.stat == AT_UPPER)
-            score[at_lo] = -d[at_lo]
-            score[at_up] = d[at_up]
-            eligible = score > OPT_TOL
-            if not eligible.any():
-                return OPTIMAL
-            if degen >= BLAND_AFTER:
-                j = int(np.flatnonzero(eligible)[0])
-            else:
-                masked = np.where(eligible, score, -math.inf)
-                j = int(np.argmax(masked))
-            dirn = 1.0 if self.stat[j] == AT_LOWER else -1.0
-            w = lu_solve(self.binv, self.A[:, j])
-            xB = x[self.basis]
-            # entering step t changes basic values by -dirn*t*w
-            lo_b = self.lo[self.basis]
-            up_b = self.up[self.basis]
-            delta = dirn * w
-            lim = np.full(self.m, math.inf)
-            pos = delta > PIVOT_TOL
-            lim[pos] = (xB[pos] - lo_b[pos]) / delta[pos]
-            neg = (delta < -PIVOT_TOL) & np.isfinite(up_b)
-            lim[neg] = (up_b[neg] - xB[neg]) / (-delta[neg])
-            np.maximum(lim, 0.0, out=lim)
-            t_bound = self.up[j] - self.lo[j]
-            best_t = min(float(lim.min(initial=math.inf)), t_bound)
-            if not math.isfinite(best_t):
-                raise IterationLimit("unbounded direction in primal simplex")
-            leave_pos = -1
-            leave_to = AT_LOWER
-            # among blocking rows, the lowest basic-variable index wins;
-            # a bound flip of the entering variable counts with its own index
-            tie_key = j if t_bound <= best_t + RATIO_TIE_TOL else self.ntot + 1
-            near = np.flatnonzero(lim <= best_t + RATIO_TIE_TOL)
-            for i in near:
-                bi = self.basis[i]
-                if bi < tie_key:
-                    tie_key = bi
-                    leave_pos = int(i)
-                    leave_to = AT_LOWER if delta[i] > 0 else AT_UPPER
-            degen = degen + 1 if best_t <= 1e-10 else 0
-            if leave_pos < 0:
-                # bound flip, basis unchanged
-                self.stat[j] = AT_UPPER if self.stat[j] == AT_LOWER else AT_LOWER
-            else:
-                self._replace(leave_pos, j, w, leave_to)
-            self._tick()
-
-    def _dual_feasible(self, tol: float = 1e-7) -> bool:
-        """Reduced-cost signs consistent with every movable nonbasic status."""
+    def _dual_feasible(self) -> bool:
+        """Reduced-cost signs consistent with every movable nonbasic status,
+        to within ``OPT_TOL``: no nonbasic variable could improve the
+        objective by leaving its bound."""
         d = self._reduced_costs()
         movable = self._movable()
-        lo_ok = d[movable & (self.stat == AT_LOWER)] >= -tol
-        up_ok = d[movable & (self.stat == AT_UPPER)] <= tol
+        lo_ok = d[movable & (self.stat == AT_LOWER)] >= -OPT_TOL
+        up_ok = d[movable & (self.stat == AT_UPPER)] <= OPT_TOL
         return bool(lo_ok.all() and up_ok.all())
-
-    # -- dual ----------------------------------------------------------------
 
     def dual(self) -> str:
         degen = 0
@@ -330,16 +271,15 @@ class _Worker:
 def _solve_from(p: LpProblem,
                 warm: Optional[BasisState]) -> Optional[LpResult]:
     """Dual simplex from ``warm``, or from the slack basis when ``warm`` is
-    None, then the certifying primal pass.  None when the dual ran out of
-    entering columns from a start that had lost dual feasibility, which
-    proves nothing."""
+    None.  None when the start is not dual feasible, or when the final basis
+    fails the optimality certificate (dual feasibility) and so proves
+    nothing.  Every run starts dual feasible, so an INFEASIBLE is a proof."""
     w = _Worker(p)
     if warm is None:
         # each structural column at the bound its cost sign picks: with
         # every variable boxed, the slack basis is then dual feasible
         w.stat[:w.n] = np.where(p.c < 0, AT_UPPER, AT_LOWER)
         w._install(list(range(w.n, w.ntot)), np.eye(w.m), 0)
-        proof = True
     else:
         old_rows = warm.binv.shape[0]
         # old stat layout: struct | old slacks; new slacks append at the end
@@ -351,19 +291,21 @@ def _solve_from(p: LpProblem,
         binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
         w._install(list(warm.basis) + list(range(w.n + old_rows, w.ntot)),
                    binv, warm.changes)
-        proof = w._dual_feasible()
+        if not w._dual_feasible():
+            return None
     if w.dual() == INFEASIBLE:
-        return LpResult(INFEASIBLE, None, None, None) if proof else None
-    w.primal()
-    return w.result()
+        return LpResult(INFEASIBLE, None, None, None)
+    return w.result() if w._dual_feasible() else None
 
 
 def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
-    """Solve the boxed LP; OPTIMAL with certificate basis, or INFEASIBLE.
+    """Solve the boxed LP; OPTIMAL with a certified basis, or INFEASIBLE.
 
-    A warm start that fails (it hits the pivot limit, meets a singular
-    basis, or reports an infeasibility it cannot prove) is retried once
-    from the slack basis."""
+    A warm start that fails (it is not dual feasible, hits the pivot limit,
+    meets a singular basis, or ends on a basis that fails its certificate)
+    is retried once from the slack basis.  A solve from the slack basis that
+    fails its certificate raises ``LostDualFeasibility``: an optimum is
+    never returned uncertified."""
     if warm is not None:
         try:
             r = _solve_from(p, warm)
@@ -371,4 +313,9 @@ def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
             r = None
         if r is not None:
             return r
-    return _solve_from(p, None)
+    r = _solve_from(p, None)
+    if r is None:
+        raise LostDualFeasibility(
+            "dual simplex from the slack basis ended on a basis that is not "
+            "dual feasible")
+    return r

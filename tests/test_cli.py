@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from abduce import bundled_model, model_io, search
+from abduce import simplex as sx
 from abduce.cli import abduce as abduce_cli
 from abduce.cli import gen as gen_cli
 from abduce.cli import mpe as mpe_cli
@@ -306,3 +307,11 @@ class TestExitCodes:
         monkeypatch.setattr(search, "solve_optimal", boom)
         result = runner.invoke(abduce_cli, ["solve", TONY])
         assert result.exit_code == 2
+
+    def test_uncertified_optimum_is_exit_2(self, runner, monkeypatch):
+        # every simplex basis fails its dual-feasibility certificate
+        monkeypatch.setattr(sx._Worker, "_dual_feasible", lambda worker: False)
+        result = runner.invoke(abduce_cli, ["solve", TONY])
+        assert result.exit_code == 2
+        assert "solver limit" in result.output
+        assert '"rank"' not in result.output

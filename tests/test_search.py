@@ -451,24 +451,36 @@ def _rank_stream(mode, instance):
     return search.enumerate_cardinal(enc, search.ALL)
 
 
+def _count_calls(monkeypatch, name, fn):
+    """Count the calls the search makes to its ``name``, which is ``fn``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode, instance", [
     *((m, i) for m in ("optimum", "best", "cardinal")
       for i in ("tony", 0, 1, 2)),
     *(("permissible", i) for i in ("fig41", 0, 1, 2)),
 ])
 def test_one_point_check_per_rank(mode, instance, monkeypatch):
-    """Branch and bound checks one point per emitted rank: the first
-    integral node it pops, which is the optimum."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return satisfies(*args, **kwargs)
-
-    monkeypatch.setattr(search, "satisfies", counted)
+    """Branch and bound checks and prices one point per emitted rank: the
+    first integral node it pops, which is the optimum.  ALL mode and
+    ``solve_optimal`` report that price, since cut rows carry no cost;
+    cardinal and permissible mode search perturbed costs, so they price
+    each point once more on the original system."""
+    checks = _count_calls(monkeypatch, "satisfies", satisfies)
+    prices = _count_calls(monkeypatch, "objective", objective)
     ranked = _rank_stream(mode, instance)
     assert ranked[0] is not None
-    assert len(calls) == len(ranked)
+    assert len(checks) == len(ranked)
+    per_rank = 1 if mode in ("optimum", "best") else 2
+    assert len(prices) == per_rank * len(ranked)
 
 
 def test_cut_loop_stops_at_k(tony, fig, monkeypatch):

@@ -1,6 +1,7 @@
 """LP relaxation, cold and warm simplex solves, and the pivot rules."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from abduce.constraints import (
     encode_bayesnet,
     encode_waodag,
 )
+from abduce.errors import LostDualFeasibility
 from abduce.generate import random_bayesnet, random_evidence, random_waodag
 
 TONY_ORDER = ("Tony-in", "Tony-sleeping", "Tony-out",
@@ -282,8 +284,8 @@ def mixed_lp(seed):
 def dual_ends(monkeypatch):
     """Record, for each dual simplex pass that ends OPTIMAL, whether its
     final basis is still dual feasible.  From a dual-feasible start the
-    ratio test must keep it so, which leaves the certifying primal pass
-    nothing to do."""
+    ratio test must keep it so; a basis that drifts out fails the final
+    certificate and sends the solve back to the slack basis."""
     ends = []
     dual = sx._Worker.dual
 
@@ -295,6 +297,26 @@ def dual_ends(monkeypatch):
 
     monkeypatch.setattr(sx._Worker, "dual", recording)
     return ends
+
+
+def record_starts(monkeypatch):
+    """Record ``(warm, certified)`` for every ``_solve_from`` call: whether
+    it started warm, and whether it returned a result rather than None or
+    an exception, either of which sends a warm start back to the slack
+    basis."""
+    starts = []
+    solve_from = sx._solve_from
+
+    def recording(p, warm):
+        r = None
+        try:
+            r = solve_from(p, warm)
+        finally:
+            starts.append((warm is not None, r is not None))
+        return r
+
+    monkeypatch.setattr(sx, "_solve_from", recording)
+    return starts
 
 
 def assert_matches_highs(p, r, linprog):
@@ -356,9 +378,12 @@ def check_warm_chain(p, parent, rng, linprog):
 
 @pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
 @pytest.mark.parametrize("seed", range(4))
-def test_warm_chain_matches_highs(make, seed, linprog):
+def test_warm_chain_matches_highs(make, seed, linprog, monkeypatch):
+    starts = record_starts(monkeypatch)
     p = make(seed)
     check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
+    # no warm start fell back to the slack basis
+    assert (True, False) not in starts
 
 
 def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
@@ -367,8 +392,10 @@ def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
     p = bayes_lp(7)
     root = sx.solve(p)
     inversions = count_inversions(monkeypatch)
+    starts = record_starts(monkeypatch)
     check_warm_chain(p, root, random.Random(7), linprog)
     assert len(inversions) >= 1
+    assert (True, False) not in starts
 
 
 # --- dual feasibility and Bland's rule ---------------------------------------
@@ -385,7 +412,7 @@ def test_dual_keeps_dual_feasibility(make, seed, linprog, monkeypatch):
 @pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
 @pytest.mark.parametrize("seed", COLD_SEEDS)
 def test_bland_cold_solve_matches_highs(make, seed, linprog, monkeypatch):
-    """With ``BLAND_AFTER`` at 0 every pivot of both simplex passes follows
+    """With ``BLAND_AFTER`` at 0 every pivot of the dual simplex follows
     Bland's rule from the first one on."""
     monkeypatch.setattr(sx, "BLAND_AFTER", 0)
     ends = dual_ends(monkeypatch)
@@ -399,6 +426,70 @@ def test_bland_cold_solve_matches_highs(make, seed, linprog, monkeypatch):
 def test_bland_warm_chain_matches_highs(make, seed, linprog, monkeypatch):
     monkeypatch.setattr(sx, "BLAND_AFTER", 0)
     ends = dual_ends(monkeypatch)
+    starts = record_starts(monkeypatch)
     p = make(seed)
     check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
     assert ends and all(ends)
+    assert (True, False) not in starts
+
+
+# --- the optimality certificate ----------------------------------------------
+
+def certificates(monkeypatch, verdicts):
+    """Answer ``_dual_feasible`` with ``verdicts`` in call order (a False
+    overrides the real check), then with the real check; count dual runs."""
+    verdicts = iter(verdicts)
+    feasible = sx._Worker._dual_feasible
+    dual = sx._Worker.dual
+    runs = []
+
+    def counted(worker):
+        runs.append(1)
+        return dual(worker)
+
+    def answer(worker):
+        return next(verdicts, True) and feasible(worker)
+
+    monkeypatch.setattr(sx._Worker, "_dual_feasible", answer)
+    monkeypatch.setattr(sx._Worker, "dual", counted)
+    return runs
+
+
+def tony_cut(tony_lp):
+    return sx.add_row(tony_lp,
+                      LinearConstraint(((1.0, "Tony-out"),), "<=", 0.0))
+
+
+def test_failed_warm_certificate_retries_from_slack(tony_lp, linprog,
+                                                    monkeypatch):
+    root = sx.solve(tony_lp)
+    p = tony_cut(tony_lp)
+    starts = record_starts(monkeypatch)
+    # the warm start passes its start check and fails its final certificate
+    runs = certificates(monkeypatch, [True, False])
+    r = sx.solve(p, warm=root.basis)
+    assert starts == [(True, False), (False, True)]
+    assert len(runs) == 2
+    assert_matches_highs(p, r, linprog)
+
+
+def test_warm_start_not_dual_feasible_never_pivots(tony_lp, linprog,
+                                                  monkeypatch):
+    root = sx.solve(tony_lp)
+    p = tony_cut(tony_lp)
+    starts = record_starts(monkeypatch)
+    runs = certificates(monkeypatch, [False])
+    r = sx.solve(p, warm=root.basis)
+    assert starts == [(True, False), (False, True)]
+    assert len(runs) == 1  # only the retry from the slack basis ran
+    assert_matches_highs(p, r, linprog)
+
+
+def test_failed_slack_certificate_raises(tony_lp, monkeypatch):
+    root = sx.solve(tony_lp)
+    certificates(monkeypatch, itertools.repeat(False))
+    with pytest.raises(LostDualFeasibility):
+        sx.solve(tony_lp)
+    # a warm start that fails its certificate fails from the slack basis too
+    with pytest.raises(LostDualFeasibility):
+        sx.solve(tony_cut(tony_lp), warm=root.basis)
