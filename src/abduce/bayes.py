@@ -96,18 +96,9 @@ def _check_entries(b: BayesianNetwork, w: InstantiationSet) -> None:
             raise ValueOutOfRange(f"{var}={val}")
 
 
-def span(w: InstantiationSet):
-    return set(w)
-
-
 def is_complete(b: BayesianNetwork, w: InstantiationSet) -> bool:
     _check_entries(b, w)
     return set(w) == set(b.variables)
-
-
-def is_consistent(inner: InstantiationSet, outer: InstantiationSet) -> bool:
-    """True iff every entry of ``inner`` appears in ``outer``."""
-    return all(outer.get(var) == val for var, val in inner.items())
 
 
 def probability(b: BayesianNetwork, w: InstantiationSet) -> float:

@@ -7,14 +7,15 @@ optional evidence equalities; the hypotheses determine every other node.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
 conditionals, and conditional true-costs are negative natural logs of the
-entries.
+entries.  ``perturb_costs`` raises zero cost gaps by a small delta for the
+search, in either encoding; reported costs stay the system's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import bayes as bn
 from . import waodag as wd
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 FEASIBILITY_TOL = 1e-9
+# CPT entries below this are clamped to it, or rejected (see encode_bayesnet)
+PROB_FLOOR = 1e-12
 
 LE = "<="
 GE = ">="
@@ -99,58 +102,52 @@ def dump(system: ConstraintSystem) -> str:
 
 @dataclass(frozen=True)
 class WaodagEncoding:
-    system: ConstraintSystem
-    node_of: Mapping[str, str]   # variable -> node
-    var_of: Mapping[str, str]    # node -> variable
-    essential: bool
+    system: ConstraintSystem     # one variable per node, named by its id
     waodag: wd.Waodag
 
 
 def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
     """One variable per node; AND rows, OR rows, optional evidence rows."""
     wd.validate(w)
-    var_of = {q: q for q in w.nodes}
     rows: List[LinearConstraint] = []
     for q in w.nodes:
         ps = w.parents[q]
         if not ps:
             continue
-        xq = var_of[q]
         if w.label[q] == wd.AND:
             for p in ps:
-                rows.append(LinearConstraint(((1.0, xq), (-1.0, var_of[p])), LE, 0.0))
-            terms = tuple((1.0, var_of[p]) for p in ps) + ((-1.0, xq),)
+                rows.append(LinearConstraint(((1.0, q), (-1.0, p)), LE, 0.0))
+            terms = tuple((1.0, p) for p in ps) + ((-1.0, q),)
             rows.append(LinearConstraint(terms, LE, float(len(ps) - 1)))
         else:
-            terms = tuple((1.0, var_of[p]) for p in ps) + ((-1.0, xq),)
+            terms = tuple((1.0, p) for p in ps) + ((-1.0, q),)
             rows.append(LinearConstraint(terms, GE, 0.0))
             for p in ps:
-                rows.append(LinearConstraint(((1.0, xq), (-1.0, var_of[p])), GE, 0.0))
+                rows.append(LinearConstraint(((1.0, q), (-1.0, p)), GE, 0.0))
     if essential:
         for q in w.nodes:
             if q in w.evidence:
-                rows.append(LinearConstraint(((1.0, var_of[q]),), EQ, 1.0))
+                rows.append(LinearConstraint(((1.0, q),), EQ, 1.0))
     system = ConstraintSystem(
-        variables=tuple(var_of[q] for q in w.nodes),
+        variables=w.nodes,
         constraints=tuple(rows),
-        psi_true={var_of[q]: w.cost_true[q] for q in w.nodes},
-        psi_false={var_of[q]: w.cost_false[q] for q in w.nodes},
-        determining=tuple(var_of[q] for q in w.nodes if q in w.hypotheses),
+        psi_true={q: w.cost_true[q] for q in w.nodes},
+        psi_false={q: w.cost_false[q] for q in w.nodes},
+        determining=tuple(q for q in w.nodes if q in w.hypotheses),
     )
-    return WaodagEncoding(system, {v: q for q, v in var_of.items()}, var_of,
-                          essential, w)
+    return WaodagEncoding(system, w)
 
 
 def solution_to_truth(enc: WaodagEncoding, s: Assignment01) -> wd.TruthAssignment:
     if set(s) != set(enc.system.variables):
         raise DomainMismatch("assignment domain != variable set")
-    return {enc.node_of[x]: bool(s[x]) for x in enc.system.variables}
+    return {x: bool(s[x]) for x in enc.system.variables}
 
 
 def truth_to_solution(enc: WaodagEncoding, e: wd.TruthAssignment) -> Assignment01:
     if set(e) != set(enc.waodag.nodes):
         raise DomainMismatch("assignment domain != node set")
-    return {enc.var_of[q]: int(e[q]) for q in enc.waodag.nodes}
+    return {q: int(e[q]) for q in enc.waodag.nodes}
 
 
 # --- Bayesian-network encoding ----------------------------------------------
@@ -168,13 +165,6 @@ class BayesEncoding:
     network: bn.BayesianNetwork
     indicator_groups: Mapping[str, Tuple[str, ...]]        # Delta(A)
     conditionals: Mapping[str, CondVar]
-    upsilon: Mapping[Tuple[str, str], Tuple[str, ...]]     # (A, a) -> group
-    evidence: Mapping[str, str] | None = None
-
-    @property
-    def delta(self) -> Tuple[str, ...]:
-        """All indicator variables, in declaration order."""
-        return self.system.scope
 
 
 def indicator_name(var: str, value: str) -> str:
@@ -190,12 +180,12 @@ def conditional_name(var: str, value: str,
     return f"q[{head}|{cfg}]"
 
 
-def encode_bayesnet(b: bn.BayesianNetwork, zero_prob: str = "clamp",
-                    prob_floor: float = 1e-12) -> BayesEncoding:
+def encode_bayesnet(b: bn.BayesianNetwork,
+                    zero_prob: str = "clamp") -> BayesEncoding:
     """Indicators with exactly-one rows, conditionals with linking rows.
 
-    ``zero_prob`` decides what happens to CPT entries below ``prob_floor``:
-    "clamp" costs them as -ln(prob_floor), "reject" raises.
+    ``zero_prob`` decides what happens to CPT entries below ``PROB_FLOOR``:
+    "clamp" costs them as -ln(PROB_FLOOR), "reject" raises.
     """
     bn.validate(b)
     variables: List[str] = []
@@ -224,11 +214,11 @@ def encode_bayesnet(b: bn.BayesianNetwork, zero_prob: str = "clamp",
                 config_pairs = tuple(zip(b.parents[v], config))
                 name = conditional_name(v, a, config_pairs)
                 p = b.cpt[(v, a, tuple(config))]
-                if p < prob_floor:
+                if p < PROB_FLOOR:
                     if zero_prob == "reject":
                         raise ZeroProbabilityRejected(
                             f"P({v}={a} | {config!r}) = {p!r}")
-                    p = prob_floor
+                    p = PROB_FLOOR
                 variables.append(name)
                 psi_true[name] = -math.log(p)
                 psi_false[name] = 0.0
@@ -250,8 +240,7 @@ def encode_bayesnet(b: bn.BayesianNetwork, zero_prob: str = "clamp",
     indicators = tuple(x for v in b.variables for x in indicator_groups[v])
     system = ConstraintSystem(tuple(variables), tuple(rows), psi_true,
                               psi_false, indicators)
-    return BayesEncoding(system, b, indicator_groups, conditionals,
-                         {k: tuple(v) for k, v in upsilon.items()})
+    return BayesEncoding(system, b, indicator_groups, conditionals)
 
 
 def apply_evidence(enc: BayesEncoding, e: bn.InstantiationSet) -> BayesEncoding:
@@ -267,7 +256,7 @@ def apply_evidence(enc: BayesEncoding, e: bn.InstantiationSet) -> BayesEncoding:
     unknown = set(e) - set(enc.network.variables)
     if unknown:
         raise UnknownVariable(repr(sorted(unknown)))
-    return replace(enc, system=enc.system.extended(rows), evidence=dict(e))
+    return replace(enc, system=enc.system.extended(rows))
 
 
 def is_permissible(enc: BayesEncoding, s: Assignment01) -> bool:
@@ -318,19 +307,24 @@ def default_delta(system: ConstraintSystem) -> float:
     return 1e-9 * (1.0 + biggest)
 
 
-def ensure_positive_conditional_costs(enc: BayesEncoding,
-                                      delta: float) -> BayesEncoding:
-    """Raise non-positive conditional true-costs to ``delta``.
+def perturb_costs(system: ConstraintSystem, variables: Iterable[str],
+                  delta: Optional[float] = None) -> ConstraintSystem:
+    """Raise each non-positive cost gap psi_true - psi_false among
+    ``variables`` to exactly ``delta`` (``default_delta`` when None).
 
-    Afterwards every optimal 0-1 solution of the system is permissible.
+    Breaks zero gaps for the search: on a monotonic graph it makes every
+    optimum cardinal, and on a Bayesian encoding with the conditionals as
+    ``variables`` it makes every optimum permissible.
     """
+    if delta is None:
+        delta = default_delta(system)
     if delta <= 0:
         raise NonPositiveDelta(repr(delta))
-    psi_true = dict(enc.system.psi_true)
-    for name in enc.conditionals:
-        if psi_true[name] <= 0.0:
-            psi_true[name] = delta
-    return replace(enc, system=replace(enc.system, psi_true=psi_true))
+    psi_true = dict(system.psi_true)
+    for x in variables:
+        if psi_true[x] <= system.psi_false[x]:
+            psi_true[x] = system.psi_false[x] + delta
+    return replace(system, psi_true=psi_true)
 
 
 def add_permissibility_constraints(enc: BayesEncoding) -> BayesEncoding:

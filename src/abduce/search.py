@@ -33,10 +33,9 @@ from .constraints import (
     LinearConstraint,
     WaodagEncoding,
     add_permissibility_constraints,
-    default_delta,
-    ensure_positive_conditional_costs,
     is_permissible,
     objective,
+    perturb_costs,
     satisfies,
     solution_to_instantiation,
 )
@@ -186,28 +185,25 @@ def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
 
 def enumerate_cardinal(enc: WaodagEncoding, k,
                        delta: Optional[float] = None) -> List[RankedSolution]:
-    """The k best cardinal solutions; needs a strictly monotonic graph.
+    """The k best cardinal solutions; needs a monotonic graph.
 
-    MONOTONIC graphs are perturbed by ``delta`` for the search; reported
-    costs always use the original costs.
+    On a MONOTONIC graph the search runs on ``perturb_costs`` over every
+    variable, which raises each zero cost gap to ``delta`` and so makes
+    every optimum cardinal; a STRICT graph is searched as it is.  Reported
+    costs are always the encoding's own.
     """
-    w = enc.waodag
-    cls = wd.monotonicity_class(w)
-    if cls is wd.Monotonicity.STRICT:
-        search_enc = enc
-    elif cls is wd.Monotonicity.MONOTONIC:
-        from .constraints import encode_waodag
-        d = delta if delta is not None else default_delta(enc.system)
-        search_enc = encode_waodag(wd.perturb_strict(w, d), enc.essential)
-    else:
+    cls = wd.monotonicity_class(enc.waodag)
+    if cls is wd.Monotonicity.UNKNOWN:
         raise NotStrictlyMonotonic(
             f"monotonicity class is {cls.value}; cannot run cardinal cuts")
+    system = enc.system
+    if cls is wd.Monotonicity.MONOTONIC:
+        system = perturb_costs(system, system.variables, delta)
 
     def finish(rank, s, _):
-        # the search may run on perturbed costs; report the original ones
         return RankedSolution(rank, s, objective(enc.system, s))
 
-    return _cut_loop(search_enc.system, k, cardinal_cut, finish)
+    return _cut_loop(system, k, cardinal_cut, finish)
 
 
 def enumerate_permissible(enc: BayesEncoding, k,
@@ -215,19 +211,19 @@ def enumerate_permissible(enc: BayesEncoding, k,
                           strict_mode: bool = False) -> List[RankedSolution]:
     """The k most probable explanations for the encoding's evidence.
 
-    Default mode nudges zero-cost conditionals up by ``delta`` so optima are
+    Default mode searches ``perturb_costs`` over the conditionals, which
+    raises each zero conditional cost to ``delta`` so that every optimum is
     permissible; strict mode adds the explicit permissibility rows instead.
-    The indicators are the determining scope, so each emitted solution is a
-    distinct instantiation-set.
+    Reported costs are always the encoding's own.  The indicators are the
+    determining scope, so each emitted solution is a distinct
+    instantiation-set.
     """
     if strict_mode:
-        work = add_permissibility_constraints(enc)
+        system = add_permissibility_constraints(enc).system
     else:
-        d = delta if delta is not None else default_delta(enc.system)
-        work = ensure_positive_conditional_costs(enc, d)
+        system = perturb_costs(enc.system, enc.conditionals, delta)
 
     def finish(rank, s, _):
-        # the search may run on nudged costs; report the original ones
         if not is_permissible(enc, s):
             raise InvariantViolation("optimum is not permissible")
         w = solution_to_instantiation(enc, s)
@@ -235,4 +231,4 @@ def enumerate_permissible(enc: BayesEncoding, k,
                               probability=bn.probability(enc.network, w),
                               instantiation=w)
 
-    return _cut_loop(work.system, k, exclusion_cut, finish)
+    return _cut_loop(system, k, exclusion_cut, finish)

@@ -171,6 +171,7 @@ class _Worker:
         self.stat[basis] = BASIC
         self.binv = binv
         self.changes = changes
+        self._evaluate()
 
     def _replace(self, pos: int, j: int, w: np.ndarray, leave_to: int) -> None:
         """Column ``j`` enters at ``pos``; ``w`` is ``B^-1 A[:, j]``."""
@@ -185,20 +186,18 @@ class _Worker:
         row = self.binv[pos] / w[pos]
         self.binv -= np.outer(w, row)
         self.binv[pos] = row
+        self._evaluate()
 
-    def _nonbasic_values(self) -> np.ndarray:
+    def _evaluate(self) -> None:
+        """Values ``x`` and reduced costs ``d`` of the current basis, once
+        per basis: every nonbasic variable at its bound (0 for an infinite
+        one), the basic ones at ``B^-1(b - A x_N)``."""
         x = np.where(self.stat == AT_UPPER, self.up, self.lo)
         x[np.isinf(x)] = 0.0
         x[self.basis] = 0.0
-        return x
-
-    def _values(self) -> np.ndarray:
-        x = self._nonbasic_values()
         x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x)
-        return x
-
-    def _reduced_costs(self) -> np.ndarray:
-        return self.c - lu_solve(self.binv, self.c[self.basis], trans=1) @ self.A
+        self.x = x
+        self.d = self.c - lu_solve(self.binv, self.c[self.basis], trans=1) @ self.A
 
     def _movable(self) -> np.ndarray:
         out = (self.stat != BASIC) & (self.up > self.lo + 1e-12)
@@ -213,7 +212,7 @@ class _Worker:
         """Reduced-cost signs consistent with every movable nonbasic status,
         to within ``OPT_TOL``: no nonbasic variable could improve the
         objective by leaving its bound."""
-        d = self._reduced_costs()
+        d = self.d
         movable = self._movable()
         lo_ok = d[movable & (self.stat == AT_LOWER)] >= -OPT_TOL
         up_ok = d[movable & (self.stat == AT_UPPER)] <= OPT_TOL
@@ -223,7 +222,7 @@ class _Worker:
         degen = 0
         while True:
             bland = degen >= BLAND_AFTER
-            xB = self._values()[self.basis]
+            xB = self.x[self.basis]
             below = self.lo[self.basis] - xB
             above = xB - self.up[self.basis]
             viol = np.maximum(below, above)
@@ -238,7 +237,7 @@ class _Worker:
                 pos = int(np.argmax(viol))
             leaving_below = below[pos] >= above[pos]
             alpha = self.binv[pos] @ self.A
-            d = self._reduced_costs()
+            d = self.d
             movable = self._movable()
             at_lo = movable & (self.stat == AT_LOWER)
             at_up = movable & (self.stat == AT_UPPER)
@@ -261,7 +260,7 @@ class _Worker:
             self._tick()
 
     def result(self) -> LpResult:
-        xs = self._values()[:self.n]
+        xs = self.x[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
         state = BasisState(list(self.basis), self.stat.copy(), self.binv,
                            self.changes)

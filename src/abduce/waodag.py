@@ -19,7 +19,6 @@ from .errors import (
     DanglingEdge,
     DomainMismatch,
     NonFiniteCost,
-    NonPositiveDelta,
     NotAnExplanation,
     NotHypothesis,
     OracleTooLarge,
@@ -227,14 +226,3 @@ def enumerate_explanations_oracle(w: Waodag, limit: int = 20):
     found.sort(key=lambda t: (t[0], t[1]))
     return [(e, c) for c, _, e in found]
 
-
-def perturb_strict(w: Waodag, delta: float) -> Waodag:
-    """Raise each non-positive true/false cost gap to exactly ``delta``."""
-    if delta <= 0:
-        raise NonPositiveDelta(repr(delta))
-    new_true = dict(w.cost_true)
-    for n in w.nodes:
-        if new_true[n] <= w.cost_false[n]:
-            new_true[n] = w.cost_false[n] + delta
-    return Waodag(w.nodes, w.edges, w.label, new_true, dict(w.cost_false),
-                  w.evidence)

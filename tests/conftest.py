@@ -4,6 +4,9 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# pytest rewrites the shared helpers' asserts as it does the tests', so they
+# still check under ``python -O``, which strips plain assert statements
+pytest.register_assert_rewrite("util")
 
 from util import three_var_network, tony_graph  # noqa: E402
 

@@ -15,11 +15,11 @@ from abduce.constraints import (
     dump,
     encode_bayesnet,
     encode_waodag,
-    ensure_positive_conditional_costs,
     indicator_name,
     instantiation_to_solution,
     is_permissible,
     objective,
+    perturb_costs,
     satisfies,
     solution_to_instantiation,
     solution_to_truth,
@@ -34,7 +34,7 @@ from abduce.errors import (
 )
 from abduce.generate import random_bayesnet, random_waodag
 
-from util import all_01_points
+from util import all_01_points, strict_graph
 
 T, F = "true", "false"
 
@@ -175,7 +175,7 @@ class TestEncodeBayesnet:
 
     def test_indicator_costs_zero(self, fig):
         enc = encode_bayesnet(fig)
-        for name in enc.delta:
+        for name in enc.system.scope:
             assert enc.system.psi_true[name] == 0.0
             assert enc.system.psi_false[name] == 0.0
 
@@ -282,35 +282,90 @@ class TestInstantiationConversions:
             solution_to_instantiation(enc, s)
 
 
+def zero_gap_tony(tony):
+    """Tony plus a free extra cause of the evidence: a zero-gap hypothesis."""
+    return wd.Waodag.build(
+        tony.nodes + ("Tony-awake",),
+        tony.edges + (("Tony-awake", "phone-noanswer"),),
+        tony.label, tony.cost_true, tony.cost_false, tony.evidence)
+
+
 class TestDeltaRemedies:
     def test_unit_probability_cost_raised(self):
         net = bn.BayesianNetwork(
             ("X",), {"X": ("a", "b")}, {"X": ()},
             {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        enc = ensure_positive_conditional_costs(encode_bayesnet(net), 1e-6)
-        assert enc.system.psi_true["q[X=a]"] == 1e-6
+        enc = encode_bayesnet(net)
+        system = perturb_costs(enc.system, enc.conditionals, 1e-6)
+        assert system.psi_true["q[X=a]"] == 1e-6
 
     def test_interior_probabilities_unchanged(self, fig):
         enc = encode_bayesnet(fig)
-        assert ensure_positive_conditional_costs(enc, 1e-6).system.psi_true == \
+        assert perturb_costs(enc.system, enc.conditionals, 1e-6).psi_true == \
             enc.system.psi_true
 
     def test_minimum_conditional_cost_after(self):
         net = bn.BayesianNetwork(
             ("X",), {"X": ("a", "b")}, {"X": ()},
             {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        enc = ensure_positive_conditional_costs(encode_bayesnet(net), 1e-6)
-        assert min(enc.system.psi_true[q] for q in enc.conditionals) >= 1e-6
+        enc = encode_bayesnet(net)
+        system = perturb_costs(enc.system, enc.conditionals, 1e-6)
+        assert min(system.psi_true[q] for q in enc.conditionals) >= 1e-6
 
     def test_rejects_nonpositive_delta(self, fig):
-        with pytest.raises(NonPositiveDelta):
-            ensure_positive_conditional_costs(encode_bayesnet(fig), 0.0)
+        enc = encode_bayesnet(fig)
+        for delta in (0.0, -1e-6):
+            with pytest.raises(NonPositiveDelta):
+                perturb_costs(enc.system, enc.conditionals, delta)
 
     def test_default_delta_scales_with_costs(self, fig):
         enc = encode_bayesnet(fig)
         biggest = max(enc.system.psi_true.values())
         assert default_delta(enc.system) == pytest.approx(
             1e-9 * (1 + biggest))
+
+
+class TestPerturbCosts:
+    def test_only_listed_variables_move(self, tony):
+        system = encode_waodag(tony).system
+        before = dict(system.psi_true)
+        out = perturb_costs(system, ["phone-noanswer"], 0.25)
+        assert out.psi_true["phone-noanswer"] == 0.25
+        assert out.psi_true["phone-disconnected"] == 0.0
+        assert out.psi_false == system.psi_false
+        assert out.constraints == system.constraints
+        assert out.determining == system.determining
+        assert system.psi_true == before
+
+    def test_gap_set_to_exactly_delta_over_false_cost(self):
+        system = ConstraintSystem(
+            ("a", "b", "c"), (), {"a": 1.0, "b": 0.5, "c": 3.0},
+            {"a": 2.0, "b": 0.5, "c": 1.0})
+        out = perturb_costs(system, system.variables, 0.125)
+        assert out.psi_true == {"a": 2.125, "b": 0.625, "c": 3.0}
+
+    def test_default_delta_used_when_none_given(self, tony):
+        system = encode_waodag(tony).system
+        assert perturb_costs(system, system.variables) == perturb_costs(
+            system, system.variables, default_delta(system))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_encoding_of_raised_graph(self, seed):
+        w = random_waodag(seed, 20, 60)
+        system = encode_waodag(w).system
+        d = default_delta(system)
+        assert perturb_costs(system, system.variables, d) == \
+            encode_waodag(strict_graph(w, d)).system
+
+    @pytest.mark.parametrize("build", [lambda t: t, zero_gap_tony],
+                             ids=["tony", "tony-awake"])
+    @pytest.mark.parametrize("essential", [True, False])
+    def test_matches_encoding_of_raised_tony(self, tony, build, essential):
+        w = build(tony)
+        for d in (1e-6, 0.5):
+            system = encode_waodag(w, essential).system
+            assert perturb_costs(system, system.variables, d) == \
+                encode_waodag(strict_graph(w, d), essential).system
 
 
 class TestStrictPermissibility:

@@ -3,6 +3,7 @@
 import pytest
 
 from abduce import bayes as bn
+from abduce import constraints
 from abduce import search
 from abduce import simplex as sx
 from abduce import waodag as wd
@@ -30,6 +31,7 @@ from util import (
     all_01_points,
     assert_streams_match,
     inst_key,
+    strict_graph,
     three_var_network,
     tony_graph,
     truth_key,
@@ -184,7 +186,7 @@ class TestSolveOptimal:
         assert satisfies(enc.system, best.assignment)
 
     def test_node_limit(self, tony, monkeypatch):
-        enc = encode_waodag(wd.perturb_strict(tony, 0.5))
+        enc = encode_waodag(strict_graph(tony, 0.5))
         # cutting the root's integral optimum leaves a fractional LP optimum
         cut = search.exclusion_cut(
             truth_to_solution(enc, wd.propagate(tony, {"Tony-out"})),
@@ -285,10 +287,25 @@ class TestEnumerateCardinal:
         for r in search.enumerate_cardinal(enc, search.ALL, delta=0.125):
             assert r.cost == int(r.cost)
 
+    def test_searches_without_encoding_again(self, tony, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return encode_waodag(*args, **kwargs)
+
+        enc = encode_waodag(tony)
+        monkeypatch.setattr(constraints, "encode_waodag", counted)
+        # also caught if search imported the name at module level
+        monkeypatch.setattr(search, "encode_waodag", counted, raising=False)
+        ranked = search.enumerate_cardinal(enc, search.ALL)
+        assert len(ranked) == 2
+        assert calls == []
+
     def test_empty_base_set_terminates(self, tony):
         free = wd.Waodag.build(tony.nodes, tony.edges, tony.label,
                                tony.cost_true, tony.cost_false, ())
-        strict = wd.perturb_strict(free, 0.001)
+        strict = strict_graph(free, 0.001)
         ranked = search.enumerate_cardinal(encode_waodag(strict), search.ALL)
         assert len(ranked) == 1
         assert ranked[0].cost == pytest.approx(0, abs=1e-6)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from abduce import waodag as wd
+from abduce.constraints import encode_waodag, perturb_costs
 from abduce.errors import (
     CyclicGraph,
     DanglingEdge,
@@ -19,7 +20,7 @@ from abduce.errors import (
 )
 from abduce.generate import random_waodag
 
-from util import tony_graph, truth_key
+from util import strict_graph, tony_graph, truth_key
 
 HYPS = ("Tony-in", "Tony-sleeping", "Tony-out")
 
@@ -175,7 +176,7 @@ class TestMonotonicityClass:
         assert wd.monotonicity_class(tony) is wd.Monotonicity.MONOTONIC
 
     def test_perturbed_tony_strict(self, tony):
-        perturbed = wd.perturb_strict(tony, 0.001)
+        perturbed = strict_graph(tony, 0.001)
         assert wd.monotonicity_class(perturbed) is wd.Monotonicity.STRICT
 
     def test_negative_gap_unknown(self):
@@ -231,19 +232,23 @@ class TestOracle:
 
 
 class TestPerturbStrict:
+    """The delta rule, applied to the encoded graph's costs."""
+
     def test_internal_nodes_raised(self, tony):
-        perturbed = wd.perturb_strict(tony, 0.001)
-        assert perturbed.cost_true["phone-noanswer"] == 0.001
-        assert perturbed.cost_true["phone-disconnected"] == 0.001
-        assert perturbed.cost_true["Tony-out"] == 8
+        system = encode_waodag(tony).system
+        perturbed = perturb_costs(system, system.variables, 0.001)
+        assert perturbed.psi_true["phone-noanswer"] == 0.001
+        assert perturbed.psi_true["phone-disconnected"] == 0.001
+        assert perturbed.psi_true["Tony-out"] == 8
 
     def test_strict_graph_unchanged(self, tony):
-        strict = wd.perturb_strict(tony, 0.5)
-        again = wd.perturb_strict(strict, 0.25)
-        assert again.cost_true == strict.cost_true
+        system = encode_waodag(tony).system
+        strict = perturb_costs(system, system.variables, 0.5)
+        again = perturb_costs(strict, system.variables, 0.25)
+        assert again == strict
 
     def test_cardinal_sets_preserved(self, tony):
-        perturbed = wd.perturb_strict(tony, 0.001)
+        perturbed = strict_graph(tony, 0.001)
         def cardinal_bases(w):
             return {frozenset(wd.base_and_support(w, e)[0])
                     for e, _ in wd.enumerate_explanations_oracle(w)
@@ -254,8 +259,9 @@ class TestPerturbStrict:
         assert cardinal_bases(perturbed) == want
 
     def test_rejects_nonpositive_delta(self, tony):
+        system = encode_waodag(tony).system
         with pytest.raises(NonPositiveDelta):
-            wd.perturb_strict(tony, 0.0)
+            perturb_costs(system, system.variables, 0.0)
 
 
 # --- properties on random instances ------------------------------------------
@@ -348,7 +354,7 @@ def test_zero_gap_hypothesis_breaks_strictness(tony):
     without = wd.propagate(w, {"Tony-out"})
     assert wd.cost(w, with_awake) == wd.cost(w, without) == 8
     assert not wd.is_cardinal(w, with_awake)
-    strict = wd.perturb_strict(w, 1e-6)
+    strict = strict_graph(w, 1e-6)
     assert wd.monotonicity_class(strict) is wd.Monotonicity.STRICT
 
 

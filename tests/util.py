@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
-Brute-force enumeration of 0-1 points, tie-aware stream comparison, and
-builders for the two worked example models used throughout the tests.
+Brute-force enumeration of 0-1 points, tie-aware stream comparison,
+builders for the two worked example models used throughout the tests, and
+small model-level helpers the library itself does not need.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ def tony_graph() -> wd.Waodag:
         cost_true={"Tony-in": 5, "Tony-sleeping": 4, "Tony-out": 8},
         evidence=["phone-noanswer"],
     )
+
+
+def strict_graph(w: wd.Waodag, delta: float) -> wd.Waodag:
+    """``w`` with each non-positive cost gap raised to exactly ``delta``,
+    built on the graph itself (the library raises gaps on the encoded
+    system, ``abduce.constraints.perturb_costs``)."""
+    cost_true = {n: w.cost_false[n] + delta
+                 if w.cost_true[n] <= w.cost_false[n] else w.cost_true[n]
+                 for n in w.nodes}
+    return wd.Waodag.build(w.nodes, w.edges, w.label, cost_true,
+                           w.cost_false, w.evidence)
+
+
+def is_consistent(inner: bn.InstantiationSet,
+                  outer: bn.InstantiationSet) -> bool:
+    """True iff every entry of ``inner`` appears in ``outer``."""
+    return all(outer.get(var) == val for var, val in inner.items())
 
 
 def three_var_network() -> bn.BayesianNetwork:
