@@ -163,7 +163,6 @@ class CondVar:
 class BayesEncoding:
     system: ConstraintSystem
     network: bn.BayesianNetwork
-    indicator_groups: Mapping[str, Tuple[str, ...]]        # Delta(A)
     conditionals: Mapping[str, CondVar]
 
 
@@ -192,19 +191,18 @@ def encode_bayesnet(b: bn.BayesianNetwork,
     rows: List[LinearConstraint] = []
     psi_true: Dict[str, float] = {}
     psi_false: Dict[str, float] = {}
-    indicator_groups: Dict[str, Tuple[str, ...]] = {}
     conditionals: Dict[str, CondVar] = {}
     upsilon: Dict[Tuple[str, str], List[str]] = {}
 
     for v in b.variables:
         group = tuple(indicator_name(v, a) for a in b.ranges[v])
-        indicator_groups[v] = group
         for name in group:
             variables.append(name)
             psi_true[name] = 0.0
             psi_false[name] = 0.0
         rows.append(LinearConstraint(
             tuple((1.0, name) for name in group), EQ, 1.0))
+    indicators = tuple(variables)
 
     cond_rows: List[LinearConstraint] = []
     for v in b.variables:
@@ -237,10 +235,9 @@ def encode_bayesnet(b: bn.BayesianNetwork,
             terms += tuple((-1.0, q) for q in upsilon[(v, a)])
             rows.append(LinearConstraint(terms, EQ, 0.0))
 
-    indicators = tuple(x for v in b.variables for x in indicator_groups[v])
     system = ConstraintSystem(tuple(variables), tuple(rows), psi_true,
                               psi_false, indicators)
-    return BayesEncoding(system, b, indicator_groups, conditionals)
+    return BayesEncoding(system, b, conditionals)
 
 
 def apply_evidence(enc: BayesEncoding, e: bn.InstantiationSet) -> BayesEncoding:

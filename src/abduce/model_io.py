@@ -12,6 +12,7 @@ Bayesian-network schema: {"variables": [{"name", "range"}],
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Dict
 
 from . import bayes as bn
@@ -28,7 +29,13 @@ def _load_json(path: str) -> Any:
                          f"{exc.msg}") from exc
 
 
+def _intern(node: Any) -> Any:
+    return sys.intern(node) if type(node) is str else node
+
+
 def parse_waodag(doc: Any) -> wd.Waodag:
+    """Node ids that are strings are interned, so every parse of the same
+    names, and every solution keyed by them, shares one copy of each."""
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ParseError("expected an object with a 'nodes' list")
     nodes = []
@@ -37,7 +44,7 @@ def parse_waodag(doc: Any) -> wd.Waodag:
     cost_false: Dict[str, float] = {}
     for entry in doc["nodes"]:
         try:
-            node = entry["id"]
+            node = _intern(entry["id"])
         except (TypeError, KeyError):
             raise ParseError(f"node entry without an id: {entry!r}")
         nodes.append(node)
@@ -51,7 +58,7 @@ def parse_waodag(doc: Any) -> wd.Waodag:
     for pair in doc.get("edges", []):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"edge is not a [parent, child] pair: {pair!r}")
-        edges.append((pair[0], pair[1]))
+        edges.append((_intern(pair[0]), _intern(pair[1])))
     w = wd.Waodag.build(nodes, edges, label, cost_true, cost_false,
                         doc.get("evidence", []))
     wd.validate(w)

@@ -22,9 +22,22 @@ so is its inverse.  A warm start carries the parent's inverse: a bound
 change leaves the basis matrix as it was, and appending rows ``R`` borders it
 to ``[[B, 0], [R, I]]``, whose inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each
 basis change applies a rank-one (eta) update, the product form of the
-inverse, and the inverse is computed from scratch only after
-``REFACTOR_EVERY`` of them, counted across the whole chain of warm solves,
-to shed rounding drift.
+inverse, to the rows where the entering column ``w = B^-1 a_j`` is nonzero
+(the others would subtract exact zeros), and the inverse is computed from
+scratch only after ``REFACTOR_EVERY`` of them, counted across the whole
+chain of warm solves, to shed rounding drift.  ``[A | I]`` is built once per
+row set: bound changes share it, a new row builds a new one.
+
+The values ``x`` and reduced costs ``d`` move along each pivot too: with
+``w`` and the pivot row ``alpha = (B^-1 [A | I])[pos]`` that the iteration
+already has, ``x_B -= theta w``, the entering value grows by ``theta`` and
+the leaving one lands on its bound, where ``theta = (x_leave - bound) /
+w[pos]``; and ``d -= (d_j / alpha_j) alpha``.  They are computed from scratch,
+``B^-1(b - A x_N)`` and ``c - c_B B^-1 [A | I]``, in three places only: when
+a basis is installed, at the refresh, and once before the dual returns
+OPTIMAL, so that neither the certificate nor the result reads drifted
+values.  If the fresh values show an infeasibility the updated ones did
+not, the dual keeps pivoting.
 
 Pivot rules are fixed for determinism.  The dual leaves on the largest
 infeasibility and enters on the least ratio, ties to the lowest variable
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -68,9 +82,16 @@ class LpProblem:
     c: np.ndarray
     c0: float = 0.0
 
-    @property
+    # Built once per problem on first use.  ``dataclasses.replace`` makes a
+    # new problem without them, so a replaced ``A`` or ``rel`` gets its own.
+    @cached_property
     def index(self) -> Dict[str, int]:
         return {name: j for j, name in enumerate(self.names)}
+
+    @cached_property
+    def AI(self) -> np.ndarray:
+        """``[A | I]``: the structural columns, then one slack per row."""
+        return np.hstack([self.A, np.eye(len(self.b))])
 
 
 @dataclass
@@ -78,7 +99,7 @@ class BasisState:
     """Warm-start handle: basis membership and the basis inverse with the
     basis changes applied to it since it was last computed from scratch.
     Warm solves copy ``binv``; none writes to it."""
-    basis: List[int]
+    basis: np.ndarray        # intp, the basic column at each row position
     stat: np.ndarray
     binv: np.ndarray
     changes: int
@@ -118,14 +139,18 @@ def relax(system: ConstraintSystem) -> LpProblem:
         b[i] = rhs
     c = np.array([system.psi_true[x] - system.psi_false[x] for x in names])
     c0 = float(sum(system.psi_false[x] for x in names))
-    return LpProblem(tuple(names), A, tuple(rel), b,
-                     np.zeros(n), np.ones(n), c, c0)
+    p = LpProblem(tuple(names), A, tuple(rel), b,
+                  np.zeros(n), np.ones(n), c, c0)
+    p.index = index
+    return p
 
 
 def add_row(p: LpProblem, row: LinearConstraint) -> LpProblem:
     a, r, rhs = _normalize_row(row, p.index, len(p.names))
-    return LpProblem(p.names, np.vstack([p.A, a[None, :]]), p.rel + (r,),
-                     np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
+    q = LpProblem(p.names, np.vstack([p.A, a[None, :]]), p.rel + (r,),
+                  np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
+    q.index = p.index
+    return q
 
 
 def lu_factor(B: np.ndarray) -> np.ndarray:
@@ -143,7 +168,9 @@ def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
     upper = p.upper.copy()
     lower[j] = lo
     upper[j] = hi
-    return LpProblem(p.names, p.A, p.rel, p.b, lower, upper, p.c, p.c0)
+    q = LpProblem(p.names, p.A, p.rel, p.b, lower, upper, p.c, p.c0)
+    q.index, q.AI = p.index, p.AI  # same rows: share the column layout
+    return q
 
 
 class _Worker:
@@ -153,20 +180,21 @@ class _Worker:
         self.p = p
         self.m, self.n = p.A.shape
         m, n = self.m, self.n
-        self.A = np.hstack([p.A, np.eye(m)])
+        self.A = p.AI
         self.ntot = n + m
         slack_up = np.array([math.inf if r == LE else 0.0 for r in p.rel])
         self.lo = np.concatenate([p.lower, np.zeros(m)])
         self.up = np.concatenate([p.upper, slack_up])
+        self.boxed = self.up > self.lo + 1e-12
         self.c = np.concatenate([p.c, np.zeros(m)])
         self.stat = np.full(self.ntot, AT_LOWER, dtype=np.int8)
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
 
-    def _install(self, basis: List[int], binv: np.ndarray,
+    def _install(self, basis: np.ndarray, binv: np.ndarray,
                  changes: int) -> None:
         """Make ``basis`` current with ``binv``, its inverse after
-        ``changes`` eta updates; the worker owns and updates ``binv``."""
+        ``changes`` eta updates; the worker owns and updates both."""
         self.basis = basis
         self.stat[basis] = BASIC
         self.binv = binv
@@ -183,14 +211,15 @@ class _Worker:
         if self.changes >= REFACTOR_EVERY:
             self._install(self.basis, lu_factor(self.A[:, self.basis]), 0)
             return
+        # rows where w is exactly 0 would subtract exact zeros: skip them
+        nz = np.flatnonzero(w)
         row = self.binv[pos] / w[pos]
-        self.binv -= np.outer(w, row)
+        self.binv[nz] -= np.outer(w[nz], row)
         self.binv[pos] = row
-        self._evaluate()
 
     def _evaluate(self) -> None:
-        """Values ``x`` and reduced costs ``d`` of the current basis, once
-        per basis: every nonbasic variable at its bound (0 for an infinite
+        """Values ``x`` and reduced costs ``d`` of the current basis from
+        scratch: every nonbasic variable at its bound (0 for an infinite
         one), the basic ones at ``B^-1(b - A x_N)``."""
         x = np.where(self.stat == AT_UPPER, self.up, self.lo)
         x[np.isinf(x)] = 0.0
@@ -198,10 +227,10 @@ class _Worker:
         x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x)
         self.x = x
         self.d = self.c - lu_solve(self.binv, self.c[self.basis], trans=1) @ self.A
+        self.stale = False
 
     def _movable(self) -> np.ndarray:
-        out = (self.stat != BASIC) & (self.up > self.lo + 1e-12)
-        return out
+        return (self.stat != BASIC) & self.boxed
 
     def _tick(self):
         self.pivots += 1
@@ -218,7 +247,27 @@ class _Worker:
         up_ok = d[movable & (self.stat == AT_UPPER)] <= OPT_TOL
         return bool(lo_ok.all() and up_ok.all())
 
+    def _pivot(self, pos: int, j: int, alpha: np.ndarray,
+               leaving_below: bool) -> None:
+        """Column ``j`` replaces the basic variable at ``pos``, which leaves
+        at the bound it violates; ``alpha`` is its row of ``B^-1 [A | I]``.
+        The values and reduced costs move along the pivot."""
+        w = lu_solve(self.binv, self.A[:, j])
+        leave = self.basis[pos]
+        bound = self.lo[leave] if leaving_below else self.up[leave]
+        theta = (self.x[leave] - bound) / w[pos]
+        self.x[self.basis] -= theta * w
+        self.x[j] += theta
+        self.x[leave] = bound
+        self.d -= (self.d[j] / alpha[j]) * alpha
+        self.stale = True
+        self._replace(pos, j, w, AT_LOWER if leaving_below else AT_UPPER)
+
     def dual(self) -> str:
+        """Dual simplex to OPTIMAL or INFEASIBLE.  OPTIMAL is returned only
+        on values evaluated from scratch; values updated along the pivots
+        that show no infeasibility are evaluated once more and checked
+        again."""
         degen = 0
         while True:
             bland = degen >= BLAND_AFTER
@@ -228,7 +277,10 @@ class _Worker:
             viol = np.maximum(below, above)
             infeasible = viol > FEAS_TOL
             if not infeasible.any():
-                return OPTIMAL
+                if not self.stale:
+                    return OPTIMAL
+                self._evaluate()
+                continue
             if bland:
                 # the lowest-index infeasible basic variable leaves
                 pos = int(np.argmin(np.where(infeasible, self.basis,
@@ -255,14 +307,13 @@ class _Worker:
             else:
                 j = int(np.argmin(ratios))  # first minimum: lowest index at ties
             degen = degen + 1 if ratios[j] <= 1e-10 else 0
-            self._replace(pos, j, lu_solve(self.binv, self.A[:, j]),
-                          AT_LOWER if leaving_below else AT_UPPER)
+            self._pivot(pos, j, alpha, leaving_below)
             self._tick()
 
     def result(self) -> LpResult:
         xs = self.x[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
-        state = BasisState(list(self.basis), self.stat.copy(), self.binv,
+        state = BasisState(self.basis.copy(), self.stat.copy(), self.binv,
                            self.changes)
         return LpResult(OPTIMAL, xs, obj, state)
 
@@ -278,7 +329,7 @@ def _solve_from(p: LpProblem,
         # each structural column at the bound its cost sign picks: with
         # every variable boxed, the slack basis is then dual feasible
         w.stat[:w.n] = np.where(p.c < 0, AT_UPPER, AT_LOWER)
-        w._install(list(range(w.n, w.ntot)), np.eye(w.m), 0)
+        w._install(np.arange(w.n, w.ntot), np.eye(w.m), 0)
     else:
         old_rows = warm.binv.shape[0]
         # old stat layout: struct | old slacks; new slacks append at the end
@@ -288,7 +339,8 @@ def _solve_from(p: LpProblem,
         binv = np.eye(w.m)
         binv[:old_rows, :old_rows] = warm.binv
         binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
-        w._install(list(warm.basis) + list(range(w.n + old_rows, w.ntot)),
+        w._install(np.concatenate([warm.basis,
+                                   np.arange(w.n + old_rows, w.ntot)]),
                    binv, warm.changes)
         if not w._dual_feasible():
             return None

@@ -10,6 +10,7 @@ from abduce import simplex as sx
 from abduce.cli import abduce as abduce_cli
 from abduce.cli import gen as gen_cli
 from abduce.cli import mpe as mpe_cli
+from abduce.constraints import encode_waodag
 from abduce.errors import NodeLimitExceeded, ParseError, RowNotNormalized
 
 TONY = str(bundled_model("tony.waodag.json"))
@@ -62,6 +63,20 @@ class TestParseWaodag:
         w = model_io.parse_waodag_file(TONY)
         again = model_io.parse_waodag(model_io.waodag_to_doc(w))
         assert again == w
+
+    def test_parses_share_node_ids(self):
+        first, second = (
+            search.solve_optimal(encode_waodag(
+                model_io.parse_waodag_file(TONY)).system).assignment
+            for _ in range(2))
+        assert list(first) == list(second)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_ids_that_are_not_strings_kept(self):
+        w = model_io.parse_waodag({"nodes": [{"id": 1}, {"id": 2, "label": "or"}],
+                                   "edges": [[1, 2]]})
+        assert w.nodes == (1, 2)
+        assert w.edges == ((1, 2),)
 
 
 class TestParseBayesnet:

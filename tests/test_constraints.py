@@ -398,7 +398,7 @@ class TestBayesEncodingInvariants:
         enc = encode_bayesnet(fig)
         for s in all_01_points(enc.system):
             for v in fig.variables:
-                assert sum(s[x] for x in enc.indicator_groups[v]) == 1
+                assert sum(s[indicator_name(v, a)] for a in fig.ranges[v]) == 1
 
     def test_matching_conditional_forced_up(self, fig):
         enc = encode_bayesnet(fig)

@@ -108,7 +108,7 @@ class TestSolve:
         b = sx.solve(tony_lp)
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
-        assert a.basis.basis == b.basis.basis
+        assert np.array_equal(a.basis.basis, b.basis.basis)
         assert np.array_equal(a.basis.stat, b.basis.stat)
 
     def test_degenerate_instance_terminates(self):
@@ -358,9 +358,9 @@ def test_bayes_instances_reach_the_refresh(monkeypatch):
     assert len(inversions) >= 1
 
 
-def check_warm_chain(p, parent, rng, linprog):
-    """Warm re-solves after random cuts and bound fixes agree with HiGHS and
-    end on the inverse of their basis."""
+def warm_chain(p, parent, rng):
+    """Up to 8 random cuts and bound fixes, each solved warm from the one
+    before; yields every problem with its result."""
     for _ in range(8):
         if parent.status != sx.OPTIMAL:
             break
@@ -371,9 +371,16 @@ def check_warm_chain(p, parent, rng, linprog):
             v = float(rng.randint(0, 1))
             p = sx.with_bounds(p, j, v, v)
         parent = sx.solve(p, warm=parent.basis)
-        assert_matches_highs(p, parent, linprog)
-        if parent.status == sx.OPTIMAL:
-            assert_carried_inverse(p, parent)
+        yield p, parent
+
+
+def check_warm_chain(p, parent, rng, linprog):
+    """Warm re-solves after random cuts and bound fixes agree with HiGHS and
+    end on the inverse of their basis."""
+    for p, r in warm_chain(p, parent, rng):
+        assert_matches_highs(p, r, linprog)
+        if r.status == sx.OPTIMAL:
+            assert_carried_inverse(p, r)
 
 
 @pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
@@ -396,6 +403,143 @@ def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
     check_warm_chain(p, root, random.Random(7), linprog)
     assert len(inversions) >= 1
     assert (True, False) not in starts
+
+
+# --- state carried along the pivots -------------------------------------------
+
+def solve_highs_instances():
+    """Solve the cold and warm-chain problems of the HiGHS checks above."""
+    for make in (bayes_lp, waodag_lp, mixed_lp):
+        for seed in COLD_SEEDS:
+            sx.solve(make(seed))
+        for seed in range(4):
+            p = make(seed)
+            for _ in warm_chain(p, sx.solve(p), random.Random(seed)):
+                pass
+
+
+def test_pivots_keep_values_and_reduced_costs(monkeypatch):
+    """After every pivot, the values and reduced costs updated along it match
+    a from-scratch evaluation of the new basis."""
+    pivot = sx._Worker._pivot
+    pivots = []
+
+    def checked(worker, *args):
+        pivot(worker, *args)
+        kept = worker.x, worker.d, worker.stale
+        worker._evaluate()  # binds new arrays; the kept ones stay as they were
+        assert np.abs(kept[0] - worker.x).max() <= 1e-9
+        assert np.abs(kept[1] - worker.d).max() <= 1e-9
+        worker.x, worker.d, worker.stale = kept
+        pivots.append(1)
+
+    monkeypatch.setattr(sx._Worker, "_pivot", checked)
+    solve_highs_instances()
+    assert len(pivots) > 1000
+
+
+def test_optimal_reads_fresh_values(monkeypatch):
+    """The dual returns OPTIMAL only on values and reduced costs evaluated
+    from scratch, so the certificate and the result never read drift."""
+    dual = sx._Worker.dual
+    fresh = []
+
+    def checked(worker):
+        status = dual(worker)
+        if status == sx.OPTIMAL:
+            x, d = worker.x, worker.d
+            worker._evaluate()
+            fresh.append(np.array_equal(x, worker.x)
+                         and np.array_equal(d, worker.d))
+        return status
+
+    monkeypatch.setattr(sx._Worker, "dual", checked)
+    solve_highs_instances()
+    assert fresh and all(fresh)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+def test_hidden_infeasibility_keeps_pivoting(make, linprog, monkeypatch):
+    """Updated values that hide an infeasibility (here: clipped into their
+    bounds after every pivot) are caught by the evaluation before OPTIMAL,
+    and the dual pivots on to the true optimum."""
+    pivot = sx._Worker._pivot
+    hidden = []
+
+    def hiding(worker, *args):
+        pivot(worker, *args)
+        if worker.stale:
+            b = worker.basis
+            clipped = np.clip(worker.x[b], worker.lo[b], worker.up[b])
+            hidden.append(not np.array_equal(worker.x[b], clipped))
+            worker.x[b] = clipped
+
+    monkeypatch.setattr(sx._Worker, "_pivot", hiding)
+    for seed in range(4):
+        p = make(seed)
+        assert_matches_highs(p, sx.solve(p), linprog)
+    assert any(hidden)
+
+
+def test_sparse_eta_update_equals_dense(monkeypatch):
+    replace = sx._Worker._replace
+    checked = []
+
+    def dense(worker, pos, j, w, leave_to):
+        row = worker.binv[pos] / w[pos]
+        want = worker.binv - np.outer(w, row)
+        want[pos] = row
+        replace(worker, pos, j, w, leave_to)
+        if worker.changes:  # not a refresh
+            checked.append(np.array_equal(worker.binv, want))
+
+    monkeypatch.setattr(sx._Worker, "_replace", dense)
+    solve_highs_instances()
+    assert len(checked) > 1000 and all(checked)
+
+
+def test_values_evaluated_at_install_refresh_and_end(monkeypatch):
+    """From scratch, each solve evaluates its basis once at install, once
+    per refresh and at most once more before it returns OPTIMAL."""
+    inversions = count_inversions(monkeypatch)
+    evaluate, solve_from = sx._Worker._evaluate, sx._solve_from
+    evaluations, extra = [], []
+
+    def counted(worker):
+        evaluations.append(1)
+        evaluate(worker)
+
+    def per_solve(p, warm):
+        before = len(evaluations) - len(inversions)
+        r = solve_from(p, warm)
+        extra.append(len(evaluations) - len(inversions) - before - 2)
+        return r
+
+    monkeypatch.setattr(sx._Worker, "_evaluate", counted)
+    monkeypatch.setattr(sx, "_solve_from", per_solve)
+    solve_highs_instances()
+    assert max(extra) <= 0
+
+
+class TestColumnLayout:
+    def test_bound_children_share_it(self, tony_lp):
+        child = sx.with_bounds(tony_lp, 0, 1.0, 1.0)
+        assert child.AI is tony_lp.AI
+        assert sx.with_bounds(child, 1, 0.0, 0.0).AI is tony_lp.AI
+        assert child.index is tony_lp.index
+
+    def test_new_rows_get_their_own(self, tony_lp):
+        cut = tony_cut(tony_lp)
+        assert cut.AI is not tony_lp.AI
+        assert np.array_equal(cut.AI, np.hstack([cut.A, np.eye(len(cut.b))]))
+        assert cut.index is tony_lp.index
+
+    def test_replace_drops_it(self, tony_lp):
+        layout = tony_lp.AI
+        flipped = dataclasses.replace(tony_lp, A=-tony_lp.A)
+        assert flipped.AI is not layout
+        assert np.array_equal(flipped.AI[:, :flipped.A.shape[1]],
+                              -tony_lp.A)
 
 
 # --- dual feasibility and Bland's rule ---------------------------------------
