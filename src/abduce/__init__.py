@@ -1,8 +1,1 @@
 """Cost-based abduction and k-best MPE via 0-1 linear constraint systems."""
-
-from importlib import resources
-
-
-def bundled_model(name: str):
-    """Path-like handle to a bundled example model (e.g. 'tony.waodag.json')."""
-    return resources.files("abduce") / "models" / name

@@ -199,16 +199,12 @@ def _mpe_model_options(f):
 @mpe.command("solve")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
-@click.option("--delta", type=float, default=None)
-@click.option("--strict-permissibility", is_flag=True, default=False)
 @cli_errors
-def mpe_solve(model, zero_prob, evidence, evidence_file, delta,
-              strict_permissibility):
+def mpe_solve(model, zero_prob, evidence, evidence_file):
     b = model_io.parse_bayesnet_file(model)
     e = _gather_evidence(b, evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
-    ranked = search.enumerate_permissible(enc, 1, delta=delta,
-                                          strict_mode=strict_permissibility)
+    ranked = search.enumerate_permissible(enc, 1)
     if not ranked:
         click.echo("no explanation exists", err=True)
         sys.exit(1)
@@ -220,16 +216,12 @@ def mpe_solve(model, zero_prob, evidence, evidence_file, delta,
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 @click.option("--k", default="all")
-@click.option("--delta", type=float, default=None)
-@click.option("--strict-permissibility", is_flag=True, default=False)
 @cli_errors
-def mpe_enumerate(model, zero_prob, evidence, evidence_file, k, delta,
-                  strict_permissibility):
+def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
     b = model_io.parse_bayesnet_file(model)
     e = _gather_evidence(b, evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
-    ranked = search.enumerate_permissible(enc, _parse_k(k), delta=delta,
-                                          strict_mode=strict_permissibility)
+    ranked = search.enumerate_permissible(enc, _parse_k(k))
     _log(f"emitted {len(ranked)} solutions")
     for r in ranked:
         emit(_mpe_record(r.rank, r.assignment, r.cost, r.probability,

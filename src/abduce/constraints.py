@@ -7,15 +7,17 @@ optional evidence equalities; the hypotheses determine every other node.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
 conditionals, and conditional true-costs are negative natural logs of the
-entries.  ``perturb_costs`` raises zero cost gaps by a small delta for the
-search, in either encoding; reported costs stay the system's own.
+entries.  These rows alone make every 0-1 point permissible: the indicators
+fix each conditional to whether its head and configuration are active.
+``perturb_costs`` raises zero cost gaps by a small delta, which cardinal
+search needs on a tied monotonic graph; reported costs stay the system's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import bayes as bn
 from . import waodag as wd
@@ -136,12 +138,6 @@ def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
         determining=tuple(q for q in w.nodes if q in w.hypotheses),
     )
     return WaodagEncoding(system, w)
-
-
-def solution_to_truth(enc: WaodagEncoding, s: Assignment01) -> wd.TruthAssignment:
-    if set(s) != set(enc.system.variables):
-        raise DomainMismatch("assignment domain != variable set")
-    return {x: bool(s[x]) for x in enc.system.variables}
 
 
 def truth_to_solution(enc: WaodagEncoding, e: wd.TruthAssignment) -> Assignment01:
@@ -304,34 +300,20 @@ def default_delta(system: ConstraintSystem) -> float:
     return 1e-9 * (1.0 + biggest)
 
 
-def perturb_costs(system: ConstraintSystem, variables: Iterable[str],
+def perturb_costs(system: ConstraintSystem,
                   delta: Optional[float] = None) -> ConstraintSystem:
-    """Raise each non-positive cost gap psi_true - psi_false among
-    ``variables`` to exactly ``delta`` (``default_delta`` when None).
+    """Raise each non-positive cost gap psi_true - psi_false to exactly
+    ``delta`` (``default_delta`` when None).
 
     Breaks zero gaps for the search: on a monotonic graph it makes every
-    optimum cardinal, and on a Bayesian encoding with the conditionals as
-    ``variables`` it makes every optimum permissible.
+    optimum cardinal.
     """
     if delta is None:
         delta = default_delta(system)
     if delta <= 0:
         raise NonPositiveDelta(repr(delta))
     psi_true = dict(system.psi_true)
-    for x in variables:
+    for x in system.variables:
         if psi_true[x] <= system.psi_false[x]:
             psi_true[x] = system.psi_false[x] + delta
     return replace(system, psi_true=psi_true)
-
-
-def add_permissibility_constraints(enc: BayesEncoding) -> BayesEncoding:
-    """Strict mode: force each conditional below its head and config indicators."""
-    rows = []
-    for name, info in enc.conditionals.items():
-        rows.append(LinearConstraint(
-            ((1.0, name), (-1.0, indicator_name(info.head_var, info.head_value))),
-            LE, 0.0))
-        for p, v in info.config:
-            rows.append(LinearConstraint(
-                ((1.0, name), (-1.0, indicator_name(p, v))), LE, 0.0))
-    return replace(enc, system=enc.system.extended(rows))

@@ -11,7 +11,8 @@ every branching choice ranges over the system's determining scope
 indicators of a Bayesian encoding, all variables of a hand-built system.
 Because the scope fixes every other variable, an exclusion cut over it
 removes exactly one 0-1 point.  The three modes differ only in the cut shape
-and in how a solution is reported.
+and in how a solution is reported.  Only cardinal mode on a tied monotonic
+graph searches perturbed costs; the others search the system as it is.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .constraints import (
     LE,
     LinearConstraint,
     WaodagEncoding,
-    add_permissibility_constraints,
     is_permissible,
     objective,
     perturb_costs,
@@ -126,7 +126,7 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
         if frac_j < 0:
             s = {names[j]: int(round(x[j])) for j in range(len(names))}
             cost01 = objective(system, s)
-            if bound > cost01 + 1e-9:
+            if bound > cost01 + 1e-9 * (1.0 + abs(cost01)):
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
             if not satisfies(system, s, tol=1e-6):
@@ -187,10 +187,10 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
                        delta: Optional[float] = None) -> List[RankedSolution]:
     """The k best cardinal solutions; needs a monotonic graph.
 
-    On a MONOTONIC graph the search runs on ``perturb_costs`` over every
-    variable, which raises each zero cost gap to ``delta`` and so makes
-    every optimum cardinal; a STRICT graph is searched as it is.  Reported
-    costs are always the encoding's own.
+    On a MONOTONIC graph the search runs on ``perturb_costs``, which raises
+    each zero cost gap to ``delta`` and so makes every optimum cardinal; a
+    STRICT graph is searched as it is.  Reported costs are always the
+    encoding's own.
     """
     cls = wd.monotonicity_class(enc.waodag)
     if cls is wd.Monotonicity.UNKNOWN:
@@ -198,7 +198,7 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
             f"monotonicity class is {cls.value}; cannot run cardinal cuts")
     system = enc.system
     if cls is wd.Monotonicity.MONOTONIC:
-        system = perturb_costs(system, system.variables, delta)
+        system = perturb_costs(system, delta)
 
     def finish(rank, s, _):
         return RankedSolution(rank, s, objective(enc.system, s))
@@ -206,29 +206,22 @@ def enumerate_cardinal(enc: WaodagEncoding, k,
     return _cut_loop(system, k, cardinal_cut, finish)
 
 
-def enumerate_permissible(enc: BayesEncoding, k,
-                          delta: Optional[float] = None,
-                          strict_mode: bool = False) -> List[RankedSolution]:
+def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
     """The k most probable explanations for the encoding's evidence.
 
-    Default mode searches ``perturb_costs`` over the conditionals, which
-    raises each zero conditional cost to ``delta`` so that every optimum is
-    permissible; strict mode adds the explicit permissibility rows instead.
-    Reported costs are always the encoding's own.  The indicators are the
-    determining scope, so each emitted solution is a distinct
-    instantiation-set.
+    The encoding's own rows make every 0-1 point permissible: an inactive
+    head's conditionals sum to zero, and the active configuration's
+    conditional is forced to one, which zeroes its siblings.  So the search
+    runs on the encoding as it is, and each point is only checked.  The
+    indicators are the determining scope, so each emitted solution is a
+    distinct instantiation-set.
     """
-    if strict_mode:
-        system = add_permissibility_constraints(enc).system
-    else:
-        system = perturb_costs(enc.system, enc.conditionals, delta)
-
-    def finish(rank, s, _):
+    def finish(rank, s, cost):
         if not is_permissible(enc, s):
             raise InvariantViolation("optimum is not permissible")
         w = solution_to_instantiation(enc, s)
-        return RankedSolution(rank, s, objective(enc.system, s),
+        return RankedSolution(rank, s, cost,
                               probability=bn.probability(enc.network, w),
                               instantiation=w)
 
-    return _cut_loop(system, k, exclusion_cut, finish)
+    return _cut_loop(enc.system, k, exclusion_cut, finish)

@@ -25,7 +25,6 @@ from abduce.constraints import (
     encode_waodag,
     instantiation_to_solution,
     objective,
-    solution_to_truth,
     truth_to_solution,
 )
 from abduce.generate import random_bayesnet, random_evidence, random_waodag
@@ -33,7 +32,9 @@ from abduce.generate import random_bayesnet, random_evidence, random_waodag
 from util import (
     all_01_points,
     assert_streams_match,
+    bundled_model,
     inst_key,
+    solution_to_truth,
     three_var_network,
     truth_key,
 )
@@ -62,12 +63,10 @@ def cli_lines(cli, args):
 
 
 def tony_file():
-    from abduce import bundled_model
     return str(bundled_model("tony.waodag.json"))
 
 
 def fig_file():
-    from abduce import bundled_model
     return str(bundled_model("fig41.bn.json"))
 
 

@@ -5,13 +5,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from abduce import bundled_model, model_io, search
+from abduce import model_io, search
 from abduce import simplex as sx
 from abduce.cli import abduce as abduce_cli
 from abduce.cli import gen as gen_cli
 from abduce.cli import mpe as mpe_cli
 from abduce.constraints import encode_waodag
 from abduce.errors import NodeLimitExceeded, ParseError, RowNotNormalized
+
+from util import bundled_model
 
 TONY = str(bundled_model("tony.waodag.json"))
 FIG = str(bundled_model("fig41.bn.json"))
@@ -210,18 +212,6 @@ class TestMpeCommands:
                                          "--evidence-file", str(evidence)])
         assert result.exit_code == 1
 
-    def test_strict_permissibility_agrees(self, runner):
-        soft = run_ok(runner, mpe_cli,
-                      ["enumerate", FIG, "--evidence", "C=true", "--k", "all"])
-        hard = run_ok(runner, mpe_cli,
-                      ["enumerate", FIG, "--evidence", "C=true", "--k", "all",
-                       "--strict-permissibility"])
-        soft_l, hard_l = json_lines(soft), json_lines(hard)
-        assert [r["instantiation"] for r in soft_l] == \
-            [r["instantiation"] for r in hard_l]
-        assert [r["probability"] for r in soft_l] == \
-            [r["probability"] for r in hard_l]
-
 
 # --- gen commands -------------------------------------------------------------
 
@@ -275,13 +265,9 @@ GOLDEN_CASES = [
      ["enumerate", TONY, "--k", "all", "--mode", "cardinal"]),
     ("fig41_solve", mpe_cli, ["solve", FIG]),
     ("fig41_solve_c_true", mpe_cli, ["solve", FIG, "--evidence", "C=true"]),
-    ("fig41_solve_strict", mpe_cli,
-     ["solve", FIG, "--strict-permissibility"]),
     ("fig41_enumerate", mpe_cli, ["enumerate", FIG, "--k", "all"]),
     ("fig41_enumerate_c_true", mpe_cli,
      ["enumerate", FIG, "--k", "all", "--evidence", "C=true"]),
-    ("fig41_enumerate_strict", mpe_cli,
-     ["enumerate", FIG, "--k", "all", "--strict-permissibility"]),
 ]
 
 

@@ -3,13 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abduce import bayes as bn
+from abduce import search
 from abduce import waodag as wd
 from abduce.constraints import (
     ConstraintSystem,
     LinearConstraint,
-    add_permissibility_constraints,
     apply_evidence,
     default_delta,
     dump,
@@ -22,19 +24,17 @@ from abduce.constraints import (
     perturb_costs,
     satisfies,
     solution_to_instantiation,
-    solution_to_truth,
     truth_to_solution,
 )
 from abduce.errors import (
     DomainMismatch,
     IncompleteInstantiation,
-    NonPositiveDelta,
     NotASolution,
     ZeroProbabilityRejected,
 )
 from abduce.generate import random_bayesnet, random_waodag
 
-from util import all_01_points, strict_graph
+from util import all_01_points, solution_to_truth, strict_graph
 
 T, F = "true", "false"
 
@@ -217,10 +217,9 @@ class TestApplyEvidence:
 
     def test_full_evidence_leaves_one_solution(self, fig):
         enc = apply_evidence(encode_bayesnet(fig), {"A": T, "B": F, "C": T})
-        permissible = [s for s in all_01_points(enc.system)
-                       if is_permissible(enc, s)]
-        assert len(permissible) == 1
-        assert solution_to_instantiation(enc, permissible[0]) == \
+        points = all_01_points(enc.system)
+        assert len(points) == 1
+        assert solution_to_instantiation(enc, points[0]) == \
             {"A": T, "B": F, "C": T}
 
 
@@ -290,48 +289,13 @@ def zero_gap_tony(tony):
         tony.label, tony.cost_true, tony.cost_false, tony.evidence)
 
 
-class TestDeltaRemedies:
-    def test_unit_probability_cost_raised(self):
-        net = bn.BayesianNetwork(
-            ("X",), {"X": ("a", "b")}, {"X": ()},
-            {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        enc = encode_bayesnet(net)
-        system = perturb_costs(enc.system, enc.conditionals, 1e-6)
-        assert system.psi_true["q[X=a]"] == 1e-6
-
-    def test_interior_probabilities_unchanged(self, fig):
-        enc = encode_bayesnet(fig)
-        assert perturb_costs(enc.system, enc.conditionals, 1e-6).psi_true == \
-            enc.system.psi_true
-
-    def test_minimum_conditional_cost_after(self):
-        net = bn.BayesianNetwork(
-            ("X",), {"X": ("a", "b")}, {"X": ()},
-            {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        enc = encode_bayesnet(net)
-        system = perturb_costs(enc.system, enc.conditionals, 1e-6)
-        assert min(system.psi_true[q] for q in enc.conditionals) >= 1e-6
-
-    def test_rejects_nonpositive_delta(self, fig):
-        enc = encode_bayesnet(fig)
-        for delta in (0.0, -1e-6):
-            with pytest.raises(NonPositiveDelta):
-                perturb_costs(enc.system, enc.conditionals, delta)
-
-    def test_default_delta_scales_with_costs(self, fig):
-        enc = encode_bayesnet(fig)
-        biggest = max(enc.system.psi_true.values())
-        assert default_delta(enc.system) == pytest.approx(
-            1e-9 * (1 + biggest))
-
-
 class TestPerturbCosts:
-    def test_only_listed_variables_move(self, tony):
+    def test_only_true_costs_move(self, tony):
         system = encode_waodag(tony).system
         before = dict(system.psi_true)
-        out = perturb_costs(system, ["phone-noanswer"], 0.25)
+        out = perturb_costs(system, 0.25)
         assert out.psi_true["phone-noanswer"] == 0.25
-        assert out.psi_true["phone-disconnected"] == 0.0
+        assert out.psi_true["Tony-out"] == 8.0
         assert out.psi_false == system.psi_false
         assert out.constraints == system.constraints
         assert out.determining == system.determining
@@ -341,20 +305,26 @@ class TestPerturbCosts:
         system = ConstraintSystem(
             ("a", "b", "c"), (), {"a": 1.0, "b": 0.5, "c": 3.0},
             {"a": 2.0, "b": 0.5, "c": 1.0})
-        out = perturb_costs(system, system.variables, 0.125)
+        out = perturb_costs(system, 0.125)
         assert out.psi_true == {"a": 2.125, "b": 0.625, "c": 3.0}
 
     def test_default_delta_used_when_none_given(self, tony):
         system = encode_waodag(tony).system
-        assert perturb_costs(system, system.variables) == perturb_costs(
-            system, system.variables, default_delta(system))
+        assert perturb_costs(system) == perturb_costs(
+            system, default_delta(system))
+
+    def test_default_delta_scales_with_costs(self, fig):
+        enc = encode_bayesnet(fig)
+        biggest = max(enc.system.psi_true.values())
+        assert default_delta(enc.system) == pytest.approx(
+            1e-9 * (1 + biggest))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_encoding_of_raised_graph(self, seed):
         w = random_waodag(seed, 20, 60)
         system = encode_waodag(w).system
         d = default_delta(system)
-        assert perturb_costs(system, system.variables, d) == \
+        assert perturb_costs(system, d) == \
             encode_waodag(strict_graph(w, d)).system
 
     @pytest.mark.parametrize("build", [lambda t: t, zero_gap_tony],
@@ -364,31 +334,8 @@ class TestPerturbCosts:
         w = build(tony)
         for d in (1e-6, 0.5):
             system = encode_waodag(w, essential).system
-            assert perturb_costs(system, system.variables, d) == \
+            assert perturb_costs(system, d) == \
                 encode_waodag(strict_graph(w, d), essential).system
-
-
-class TestStrictPermissibility:
-    def test_three_var_row_count(self, fig):
-        enc = encode_bayesnet(fig)
-        strict = add_permissibility_constraints(enc)
-        # per conditional: one head row plus one per parent
-        assert len(strict.system.constraints) - 21 == 8 * 3 + 4 * 1
-
-    def test_parentless_network(self):
-        net = bn.BayesianNetwork(
-            ("X",), {"X": ("a", "b")}, {"X": ()},
-            {("X", "a", ()): 0.5, ("X", "b", ()): 0.5})
-        strict = add_permissibility_constraints(encode_bayesnet(net))
-        assert len(strict.system.constraints) == 5 + 2
-
-    def test_every_solution_permissible(self, fig):
-        enc = encode_bayesnet(fig)
-        strict = add_permissibility_constraints(enc)
-        points = all_01_points(strict.system)
-        assert points
-        for s in points:
-            assert is_permissible(enc, s)
 
 
 # --- exhaustive encoder invariants at oracle scale ------------------------------
@@ -410,6 +357,14 @@ class TestBayesEncodingInvariants:
                 if head_up and config_up:
                     assert s[name] == 1
 
+    def test_every_solution_permissible(self, fig):
+        # the rows alone leave the conditionals no freedom
+        enc = encode_bayesnet(fig)
+        points = all_01_points(enc.system)
+        assert len(points) == 8
+        for s in points:
+            assert is_permissible(enc, s)
+
     def test_objective_is_neg_log_on_every_complete_set(self, fig):
         enc = encode_bayesnet(fig)
         import itertools
@@ -423,8 +378,6 @@ class TestBayesEncodingInvariants:
         enc = apply_evidence(encode_bayesnet(fig), {"C": T})
         seen = set()
         for s in all_01_points(enc.system):
-            if not is_permissible(enc, s):
-                continue
             w = solution_to_instantiation(enc, s)
             assert w["C"] == T
             seen.add(tuple(sorted(w.items())))
@@ -441,6 +394,41 @@ class TestBayesEncodingInvariants:
         for c1, p1 in pairs:
             for c2, p2 in pairs:
                 assert (c1 <= c2 + 1e-12) == (p1 >= p2 - 1e-12)
+
+
+@st.composite
+def networks_with_evidence(draw):
+    """Small random networks, some CPT rows deterministic, with evidence."""
+    net = random_bayesnet(draw(st.integers(0, 2**32 - 1)),
+                          n_variables=draw(st.integers(1, 5)),
+                          max_range=draw(st.integers(2, 3)),
+                          margin=draw(st.sampled_from([0.0, 0.05])))
+    cpt = dict(net.cpt)
+    for v in net.variables:
+        for config in net.parent_configs(v):
+            hot = draw(st.none() | st.sampled_from(net.ranges[v]))
+            if hot is not None:
+                for a in net.ranges[v]:
+                    cpt[(v, a, tuple(config))] = float(a == hot)
+    net = bn.BayesianNetwork(net.variables, net.ranges, net.parents, cpt)
+    evidence = {v: draw(st.sampled_from(net.ranges[v]))
+                for v in net.variables if draw(st.booleans())}
+    return net, evidence
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(networks_with_evidence())
+def test_every_point_of_the_encoding_is_permissible(case):
+    """The encoding's rows alone make each 0-1 point permissible, one point
+    per instantiation consistent with the evidence, even where a
+    deterministic CPT row leaves conditional costs at zero."""
+    net, e = case
+    enc = apply_evidence(encode_bayesnet(net, zero_prob="clamp"), e)
+    ranked = search.enumerate_best(enc.system, search.ALL)
+    for r in ranked:
+        assert is_permissible(enc, r.assignment)
+    want = math.prod(len(net.ranges[v]) for v in net.variables if v not in e)
+    assert len(ranked) == want
 
 
 # --- golden dumps --------------------------------------------------------------

@@ -236,15 +236,15 @@ class TestPerturbStrict:
 
     def test_internal_nodes_raised(self, tony):
         system = encode_waodag(tony).system
-        perturbed = perturb_costs(system, system.variables, 0.001)
+        perturbed = perturb_costs(system, 0.001)
         assert perturbed.psi_true["phone-noanswer"] == 0.001
         assert perturbed.psi_true["phone-disconnected"] == 0.001
         assert perturbed.psi_true["Tony-out"] == 8
 
     def test_strict_graph_unchanged(self, tony):
         system = encode_waodag(tony).system
-        strict = perturb_costs(system, system.variables, 0.5)
-        again = perturb_costs(strict, system.variables, 0.25)
+        strict = perturb_costs(system, 0.5)
+        again = perturb_costs(strict, 0.25)
         assert again == strict
 
     def test_cardinal_sets_preserved(self, tony):
@@ -261,7 +261,7 @@ class TestPerturbStrict:
     def test_rejects_nonpositive_delta(self, tony):
         system = encode_waodag(tony).system
         with pytest.raises(NonPositiveDelta):
-            perturb_costs(system, system.variables, 0.0)
+            perturb_costs(system, 0.0)
 
 
 # --- properties on random instances ------------------------------------------

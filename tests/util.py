@@ -7,13 +7,20 @@ small model-level helpers the library itself does not need.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from abduce import bayes as bn
 from abduce import waodag as wd
-from abduce.constraints import ConstraintSystem
+from abduce.constraints import ConstraintSystem, WaodagEncoding
+from abduce.errors import DomainMismatch
+
+
+def bundled_model(name: str):
+    """Path-like handle to a bundled example model (e.g. 'tony.waodag.json')."""
+    return resources.files("abduce") / "models" / name
 
 
 def tony_graph() -> wd.Waodag:
@@ -40,6 +47,14 @@ def strict_graph(w: wd.Waodag, delta: float) -> wd.Waodag:
                  for n in w.nodes}
     return wd.Waodag.build(w.nodes, w.edges, w.label, cost_true,
                            w.cost_false, w.evidence)
+
+
+def solution_to_truth(enc: WaodagEncoding,
+                      s: Dict[str, int]) -> wd.TruthAssignment:
+    """The truth assignment of a 0-1 solution of a graph encoding."""
+    if set(s) != set(enc.system.variables):
+        raise DomainMismatch("assignment domain != variable set")
+    return {x: bool(s[x]) for x in enc.system.variables}
 
 
 def is_consistent(inner: bn.InstantiationSet,
