@@ -51,6 +51,37 @@ class BayesianNetwork:
                 f"cycle through {sorted(set(self.variables) - set(order))}")
         return tuple(order)
 
+    @cached_property
+    def checked(self) -> bool:
+        """Ranges, parents, acyclicity and complete normalised CPTs hold,
+        else a ModelError names the offender.  Cached, so an immutable
+        network is checked once; a failure is not."""
+        varset = set(self.variables)
+        for v in self.variables:
+            if not self.ranges.get(v):
+                raise ValueOutOfRange(f"variable {v!r} has an empty range")
+            for p in self.parents[v]:
+                if p not in varset:
+                    raise UnknownVariable(f"parent {p!r} of {v!r}")
+        self.topo_order  # raises CyclicNetwork
+        for v in self.variables:
+            for config in self.parent_configs(v):
+                total = 0.0
+                for a in self.ranges[v]:
+                    key = (v, a, tuple(config))
+                    if key not in self.cpt:
+                        raise MissingCptEntry(f"P({v}={a} | {config!r})")
+                    p = self.cpt[key]
+                    if not (0.0 <= p <= 1.0):
+                        raise ValueOutOfRange(f"P({v}={a} | {config!r}) = {p!r}")
+                    total += p
+                if abs(total - 1.0) > NORMALIZATION_TOL:
+                    raise RowNotNormalized(v, tuple(config), total)
+        extra = len(self.cpt) - self.entry_count()
+        if extra:
+            raise MissingCptEntry(f"{extra} CPT entries reference unknown configurations")
+        return True
+
     def parent_configs(self, var: str):
         """All parent-value tuples for ``var`` in range product order."""
         return itertools.product(*(self.ranges[p] for p in self.parents[var]))
@@ -62,30 +93,9 @@ class BayesianNetwork:
 
 
 def validate(b: BayesianNetwork) -> None:
-    varset = set(b.variables)
-    for v in b.variables:
-        if not b.ranges.get(v):
-            raise ValueOutOfRange(f"variable {v!r} has an empty range")
-        for p in b.parents[v]:
-            if p not in varset:
-                raise UnknownVariable(f"parent {p!r} of {v!r}")
-    b.topo_order  # raises CyclicNetwork
-    for v in b.variables:
-        for config in b.parent_configs(v):
-            total = 0.0
-            for a in b.ranges[v]:
-                key = (v, a, tuple(config))
-                if key not in b.cpt:
-                    raise MissingCptEntry(f"P({v}={a} | {config!r})")
-                p = b.cpt[key]
-                if not (0.0 <= p <= 1.0):
-                    raise ValueOutOfRange(f"P({v}={a} | {config!r}) = {p!r}")
-                total += p
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise RowNotNormalized(v, tuple(config), total)
-    extra = len(b.cpt) - b.entry_count()
-    if extra:
-        raise MissingCptEntry(f"{extra} CPT entries reference unknown configurations")
+    """Check the network once (``BayesianNetwork.checked``); raises a
+    ModelError."""
+    b.checked
 
 
 def _check_entries(b: BayesianNetwork, w: InstantiationSet) -> None:

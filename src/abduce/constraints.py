@@ -1,7 +1,11 @@
 """Linear 0-1 constraint systems and the two model encoders.
 
 A system is (variables, rows, per-variable true/false costs) plus its
-determining scope: the variables whose 0-1 values fix all the others.  WAODAG
+determining scope: the variables whose 0-1 values fix all the others.  The
+encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
+each system also holds them once as unnormalised arrays in variable order
+(``rows``, ``costs``), which ``satisfies``, ``objective`` and the LP
+relaxation read and ``extended`` and ``perturb_costs`` carry on.  WAODAG
 graphs encode with one variable per node and the four AND/OR row shapes plus
 optional evidence equalities; the hypotheses determine every other node.
 Bayesian networks encode with one indicator variable per (variable, value)
@@ -17,7 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from . import bayes as bn
 from . import waodag as wd
@@ -41,6 +48,8 @@ EQ = "="
 
 # variable -> 0/1
 Assignment01 = Dict[str, int]
+# a 0-1 point: an assignment, or its values in the system's variable order
+Point = Union[Assignment01, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,21 @@ class LinearConstraint:
         return abs(lhs - self.rhs) <= tol
 
 
+# A (m x n; terms on one variable add up), rel (LE, GE or EQ as written), b
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def dense_rows(rows, index: Mapping[str, int], n: int) -> Rows:
+    """``rows`` as arrays over the columns ``index`` names."""
+    rows = tuple(rows)
+    A = np.zeros((len(rows), n))
+    at = [(i, index[var]) for i, row in enumerate(rows) for _, var in row.terms]
+    np.add.at(A, tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T),
+              [coeff for row in rows for coeff, _ in row.terms])
+    return (A, np.array([row.relation for row in rows], dtype="<U2"),
+            np.array([row.rhs for row in rows], dtype=float))
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     variables: Tuple[str, ...]
@@ -72,23 +96,58 @@ class ConstraintSystem:
         """The determining variables: cuts and branching range over these."""
         return self.determining or self.variables
 
+    # Array forms, built once per system on first use and handed on by
+    # ``extended`` and ``perturb_costs``; ``dataclasses.replace`` drops them.
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        return {x: j for j, x in enumerate(self.variables)}
+
+    @cached_property
+    def rows(self) -> Rows:
+        return dense_rows(self.constraints, self.index, len(self.variables))
+
+    @cached_property
+    def costs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """psi_true and psi_false in variable order."""
+        return (np.array([self.psi_true[x] for x in self.variables], dtype=float),
+                np.array([self.psi_false[x] for x in self.variables], dtype=float))
+
     def extended(self, rows) -> "ConstraintSystem":
-        return replace(self, constraints=self.constraints + tuple(rows))
+        rows = tuple(rows)
+        out = replace(self, constraints=self.constraints + rows)
+        # seed the cached forms: the new rows are the only ones to convert
+        more = dense_rows(rows, self.index, len(self.variables))
+        vars(out).update(index=self.index, costs=self.costs,
+                         rows=tuple(map(np.concatenate, zip(self.rows, more))))
+        return out
 
 
-def objective(system: ConstraintSystem, s: Assignment01) -> float:
-    """Theta: sum of s(x)*psi(x,true) + (1-s(x))*psi(x,false)."""
+def _point(system: ConstraintSystem, s: Point) -> np.ndarray:
+    if isinstance(s, np.ndarray):
+        if s.shape != (len(system.variables),):
+            raise DomainMismatch(f"point of shape {s.shape} != variable count")
+        return s
     if set(s) != set(system.variables):
         raise DomainMismatch("assignment domain != variable set")
-    return sum(s[x] * system.psi_true[x] + (1 - s[x]) * system.psi_false[x]
-               for x in system.variables)
+    return np.array([s[x] for x in system.variables], dtype=float)
 
 
-def satisfies(system: ConstraintSystem, s: Assignment01,
+def objective(system: ConstraintSystem, s: Point) -> float:
+    """Theta: sum of s(x)*psi(x,true) + (1-s(x))*psi(x,false), added up
+    left to right in variable order."""
+    x = _point(system, s)
+    psi_true, psi_false = system.costs
+    return sum((x * psi_true + (1 - x) * psi_false).tolist())
+
+
+def satisfies(system: ConstraintSystem, s: Point,
               tol: float = FEASIBILITY_TOL) -> bool:
-    if set(s) != set(system.variables):
-        raise DomainMismatch("assignment domain != variable set")
-    return all(row.holds(s, tol) for row in system.constraints)
+    """Every row holds at ``s``, as ``LinearConstraint.holds`` reads it."""
+    A, rel, b = system.rows
+    lhs = A @ _point(system, s)
+    ok = np.where(rel == LE, lhs <= b + tol,
+                  np.where(rel == GE, lhs >= b - tol, np.abs(lhs - b) <= tol))
+    return bool(ok.all())
 
 
 def dump(system: ConstraintSystem) -> str:
@@ -116,27 +175,20 @@ def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
         ps = w.parents[q]
         if not ps:
             continue
+        terms = tuple((1.0, p) for p in ps) + ((-1.0, q),)
         if w.label[q] == wd.AND:
-            for p in ps:
-                rows.append(LinearConstraint(((1.0, q), (-1.0, p)), LE, 0.0))
-            terms = tuple((1.0, p) for p in ps) + ((-1.0, q),)
+            rows += [LinearConstraint(((1.0, q), (-1.0, p)), LE, 0.0) for p in ps]
             rows.append(LinearConstraint(terms, LE, float(len(ps) - 1)))
         else:
-            terms = tuple((1.0, p) for p in ps) + ((-1.0, q),)
             rows.append(LinearConstraint(terms, GE, 0.0))
-            for p in ps:
-                rows.append(LinearConstraint(((1.0, q), (-1.0, p)), GE, 0.0))
+            rows += [LinearConstraint(((1.0, q), (-1.0, p)), GE, 0.0) for p in ps]
     if essential:
-        for q in w.nodes:
-            if q in w.evidence:
-                rows.append(LinearConstraint(((1.0, q),), EQ, 1.0))
+        rows += [LinearConstraint(((1.0, q),), EQ, 1.0)
+                 for q in w.nodes if q in w.evidence]
     system = ConstraintSystem(
-        variables=w.nodes,
-        constraints=tuple(rows),
-        psi_true={q: w.cost_true[q] for q in w.nodes},
-        psi_false={q: w.cost_false[q] for q in w.nodes},
-        determining=tuple(q for q in w.nodes if q in w.hypotheses),
-    )
+        w.nodes, tuple(rows), {q: w.cost_true[q] for q in w.nodes},
+        {q: w.cost_false[q] for q in w.nodes},
+        tuple(q for q in w.nodes if q in w.hypotheses))
     return WaodagEncoding(system, w)
 
 
@@ -183,27 +235,18 @@ def encode_bayesnet(b: bn.BayesianNetwork,
     "clamp" costs them as -ln(PROB_FLOOR), "reject" raises.
     """
     bn.validate(b)
-    variables: List[str] = []
-    rows: List[LinearConstraint] = []
-    psi_true: Dict[str, float] = {}
-    psi_false: Dict[str, float] = {}
+    indicators = tuple(indicator_name(v, a)
+                       for v in b.variables for a in b.ranges[v])
+    rows = [LinearConstraint(tuple((1.0, indicator_name(v, a))
+                                   for a in b.ranges[v]), EQ, 1.0)
+            for v in b.variables]
+    links: List[LinearConstraint] = []
+    psi_true: Dict[str, float] = dict.fromkeys(indicators, 0.0)
     conditionals: Dict[str, CondVar] = {}
-    upsilon: Dict[Tuple[str, str], List[str]] = {}
-
-    for v in b.variables:
-        group = tuple(indicator_name(v, a) for a in b.ranges[v])
-        for name in group:
-            variables.append(name)
-            psi_true[name] = 0.0
-            psi_false[name] = 0.0
-        rows.append(LinearConstraint(
-            tuple((1.0, name) for name in group), EQ, 1.0))
-    indicators = tuple(variables)
-
-    cond_rows: List[LinearConstraint] = []
     for v in b.variables:
         for a in b.ranges[v]:
-            upsilon[(v, a)] = []
+            head = indicator_name(v, a)
+            upsilon = []
             for config in b.parent_configs(v):
                 config_pairs = tuple(zip(b.parents[v], config))
                 name = conditional_name(v, a, config_pairs)
@@ -213,26 +256,20 @@ def encode_bayesnet(b: bn.BayesianNetwork,
                         raise ZeroProbabilityRejected(
                             f"P({v}={a} | {config!r}) = {p!r}")
                     p = PROB_FLOOR
-                variables.append(name)
                 psi_true[name] = -math.log(p)
-                psi_false[name] = 0.0
                 conditionals[name] = CondVar(v, a, config_pairs)
-                upsilon[(v, a)].append(name)
-                terms = ((1.0, name), (-1.0, indicator_name(v, a)))
+                upsilon.append(name)
+                terms = ((1.0, name), (-1.0, head))
                 terms += tuple((-1.0, indicator_name(p_, c_))
                                for p_, c_ in config_pairs)
-                cond_rows.append(LinearConstraint(
+                rows.append(LinearConstraint(
                     terms, GE, float(-len(config_pairs))))
-    rows.extend(cond_rows)
+            links.append(LinearConstraint(
+                ((1.0, head),) + tuple((-1.0, q) for q in upsilon), EQ, 0.0))
 
-    for v in b.variables:
-        for a in b.ranges[v]:
-            terms = ((1.0, indicator_name(v, a)),)
-            terms += tuple((-1.0, q) for q in upsilon[(v, a)])
-            rows.append(LinearConstraint(terms, EQ, 0.0))
-
-    system = ConstraintSystem(tuple(variables), tuple(rows), psi_true,
-                              psi_false, indicators)
+    variables = tuple(psi_true)  # the indicators, then the conditionals
+    system = ConstraintSystem(variables, tuple(rows + links), psi_true,
+                              dict.fromkeys(variables, 0.0), indicators)
     return BayesEncoding(system, b, conditionals)
 
 
@@ -256,14 +293,9 @@ def is_permissible(enc: BayesEncoding, s: Assignment01) -> bool:
     """Every active conditional has its head and full configuration active."""
     if set(s) != set(enc.system.variables):
         raise DomainMismatch("assignment domain != variable set")
-    for name, info in enc.conditionals.items():
-        if not s[name]:
-            continue
-        if not s[indicator_name(info.head_var, info.head_value)]:
-            return False
-        if any(not s[indicator_name(p, v)] for p, v in info.config):
-            return False
-    return True
+    return all(s[indicator_name(info.head_var, info.head_value)]
+               and all(s[indicator_name(p, v)] for p, v in info.config)
+               for name, info in enc.conditionals.items() if s[name])
 
 
 def solution_to_instantiation(enc: BayesEncoding,
@@ -283,21 +315,18 @@ def instantiation_to_solution(enc: BayesEncoding,
                               w: bn.InstantiationSet) -> Assignment01:
     if not bn.is_complete(enc.network, w):
         raise IncompleteInstantiation(f"span covers only {sorted(w)}")
-    s: Assignment01 = {}
-    for var in enc.network.variables:
-        for a in enc.network.ranges[var]:
-            s[indicator_name(var, a)] = int(w[var] == a)
-    for name, info in enc.conditionals.items():
-        s[name] = int(w[info.head_var] == info.head_value and
-                      all(w[p] == v for p, v in info.config))
+    s: Assignment01 = {indicator_name(var, a): int(w[var] == a)
+                       for var in enc.network.variables
+                       for a in enc.network.ranges[var]}
+    s.update((name, int(w[info.head_var] == info.head_value and
+                        all(w[p] == v for p, v in info.config)))
+             for name, info in enc.conditionals.items())
     return s
 
 
 def default_delta(system: ConstraintSystem) -> float:
     """1e-9 scaled by the largest cost magnitude in the system."""
-    biggest = max((abs(v) for m in (system.psi_true, system.psi_false)
-                   for v in m.values()), default=0.0)
-    return 1e-9 * (1.0 + biggest)
+    return 1e-9 * (1.0 + float(np.abs(system.costs).max(initial=0.0)))
 
 
 def perturb_costs(system: ConstraintSystem,
@@ -316,4 +345,6 @@ def perturb_costs(system: ConstraintSystem,
     for x in system.variables:
         if psi_true[x] <= system.psi_false[x]:
             psi_true[x] = system.psi_false[x] + delta
-    return replace(system, psi_true=psi_true)
+    out = replace(system, psi_true=psi_true)
+    vars(out).update(index=system.index, rows=system.rows)  # same rows
+    return out

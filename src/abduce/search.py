@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import bayes as bn
 from . import simplex as sx
 from . import waodag as wd
@@ -81,17 +83,15 @@ def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
                             float(len(on) - 1))
 
 
-def _pick_fractional(x, indices) -> int:
+def _pick_fractional(x, indices: np.ndarray) -> int:
     """Most fractional variable among ``indices``; ties to the lowest index."""
-    frac_j = -1
-    frac_score = math.inf
-    for j in indices:
-        dist = min(abs(x[j]), abs(1.0 - x[j]))
-        if dist > INT_TOL:
-            score = abs(x[j] - 0.5)
-            if score < frac_score - 1e-12:
-                frac_score = score
-                frac_j = j
+    frac_j, frac_score = -1, math.inf
+    dist = np.minimum(np.abs(x[indices]), np.abs(1.0 - x[indices]))
+    for j in indices[dist > INT_TOL].tolist():
+        score = abs(x[j] - 0.5)
+        if score < frac_score - 1e-12:
+            frac_score = score
+            frac_j = j
     return frac_j
 
 
@@ -107,8 +107,7 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     Branches on the most fractional scope variable; a fractional variable
     outside the scope is branched on only when the whole scope is integral.
     """
-    index = p.index
-    scope = [index[x] for x in system.scope]
+    scope = np.array([p.index[x] for x in system.scope], dtype=np.intp)
     root = sx.solve(p, warm=warm)
     if root.status != sx.OPTIMAL:
         return None, None, root
@@ -116,23 +115,22 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     heap: List[Tuple[float, int, sx.LpProblem, sx.LpResult]] = [
         (root.objective, next(counter), p, root)]
     nodes = 0
-    names = p.names
     while heap:
         bound, _, node_p, res = heapq.heappop(heap)
         x = res.x
         frac_j = _pick_fractional(x, scope)
         if frac_j < 0:
-            frac_j = _pick_fractional(x, range(len(names)))
+            frac_j = _pick_fractional(x, np.arange(len(x)))
         if frac_j < 0:
-            s = {names[j]: int(round(x[j])) for j in range(len(names))}
-            cost01 = objective(system, s)
+            point = (x > 0.5).astype(float)
+            cost01 = objective(system, point)
             if bound > cost01 + 1e-9 * (1.0 + abs(cost01)):
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
-            if not satisfies(system, s, tol=1e-6):
+            if not satisfies(system, point, tol=1e-6):
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
-            return s, cost01, root
+            return dict(zip(p.names, point.astype(int).tolist())), cost01, root
         nodes += 1
         if nodes > NODE_LIMIT:
             raise NodeLimitExceeded(f"{nodes} branch-and-bound nodes")
@@ -150,9 +148,7 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
     warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s, cost)``
     reports, where ``cost`` is the point's cost under the searched system
     (cut rows carry no cost, so every extension prices points alike)."""
-    current = system
-    p = sx.relax(system)
-    warm = None
+    current, p, warm = system, sx.relax(system), None
     out: List[RankedSolution] = []
     want = math.inf if k == ALL else int(k)
     while len(out) < want:
@@ -166,9 +162,7 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
             row = cut(s, system.scope)
         except EmptyBaseSet:
             break
-        current = current.extended([row])
-        p = sx.add_row(p, row)
-        warm = root.basis
+        current, p, warm = current.extended([row]), sx.add_row(p, row), root.basis
     return out
 
 

@@ -1,43 +1,44 @@
 """Bounded-variable revised simplex over [0,1] relaxations.
 
 Solves min c.x subject to the system rows with every variable boxed, over
-the column layout ``[A | I]``: the structural columns, then one slack per
-row.  Every solve is a dual simplex from a dual-feasible basis.  Because
-every variable is boxed, the slack basis is dual feasible once each
-structural column sits at the bound its cost sign picks (upper when
-``c_j < 0``, else lower): that is where a cold solve starts, with no
-artificial columns and no phase 1.  A warm solve starts from its parent's
-optimal basis instead, after adding cut rows or changing bounds, and only
-if that basis is still dual feasible.  A dual simplex that runs out of
-entering columns from a dual-feasible start has proved the problem
-infeasible.  One that reaches a primal-feasible basis returns it as optimal
-only if the basis passes a final certificate: every reduced cost has the
-sign its nonbasic bound needs, to within ``OPT_TOL``.  The ratio test keeps
-those signs in exact arithmetic, so the certificate catches rounding drift
-alone.  Dense arithmetic; the systems this package generates are desk scale.
+the columns ``[A | I]``: the structural columns, then one slack per row.
+``relax`` takes ``A`` from the system's arrays with each ``>=`` row negated,
+``add_row`` appends one cut row, and only a refresh builds the slack block:
+a slack's entry in a pivot row is that row of ``B^-1``, and its column of
+``B^-1 [A | I]`` is a column of ``B^-1``.  ``LpProblem.layout`` (slack bounds,
+full cost, optimality tolerance) is built once per row set and cost vector
+and shared by every bound change.
+
+Every solve is a dual simplex from a dual-feasible basis.  A cold solve
+starts from the slack basis with each structural column at the bound its
+cost sign picks (upper when ``c_j < 0``), dual feasible because every
+variable is boxed.  A warm solve starts from its parent's optimal basis,
+after cut rows or bound changes, only if that basis is still dual feasible.
+Running out of entering columns from a dual-feasible start proves the
+problem infeasible; a primal-feasible basis is returned as optimal only if
+it passes a final certificate: every reduced cost has the sign its nonbasic
+bound needs, to within ``OPT_TOL * (1 + max|c|)``.  One signed status vector
+``sgn`` (+1 at lower, -1 at upper for a movable nonbasic column, else 0)
+changes at the two columns each pivot swaps; a column may enter when
+``sgn * alpha`` has the sign that moves the leaving variable towards its
+violated bound, and the basis is dual feasible when ``sgn * d >= -tol``.
 
 Each solve keeps the explicit inverse of its basis matrix and never inverts
 a basis it can already name the inverse of.  The slack basis is ``I``, and
 so is its inverse.  A warm start carries the parent's inverse: a bound
 change leaves the basis matrix as it was, and appending rows ``R`` borders it
 to ``[[B, 0], [R, I]]``, whose inverse is ``[[B^-1, 0], [-R B^-1, I]]``.  Each
-basis change applies a rank-one (eta) update, the product form of the
-inverse, to the rows where the entering column ``w = B^-1 a_j`` is nonzero
-(the others would subtract exact zeros), and the inverse is computed from
-scratch only after ``REFACTOR_EVERY`` of them, counted across the whole
-chain of warm solves, to shed rounding drift.  ``[A | I]`` is built once per
-row set: bound changes share it, a new row builds a new one.
+basis change applies a rank-one (eta) update to the rows where the entering
+column ``w = B^-1 a_j`` is nonzero, and the inverse is computed from scratch
+only after ``REFACTOR_EVERY`` of them, counted along the chain of warm
+solves, to shed rounding drift.
 
-The values ``x`` and reduced costs ``d`` move along each pivot too: with
-``w`` and the pivot row ``alpha = (B^-1 [A | I])[pos]`` that the iteration
-already has, ``x_B -= theta w``, the entering value grows by ``theta`` and
-the leaving one lands on its bound, where ``theta = (x_leave - bound) /
-w[pos]``; and ``d -= (d_j / alpha_j) alpha``.  They are computed from scratch,
-``B^-1(b - A x_N)`` and ``c - c_B B^-1 [A | I]``, in three places only: when
-a basis is installed, at the refresh, and once before the dual returns
-OPTIMAL, so that neither the certificate nor the result reads drifted
-values.  If the fresh values show an infeasibility the updated ones did
-not, the dual keeps pivoting.
+The values ``x`` and reduced costs ``d`` move along each pivot too, by the
+``w`` and pivot row ``alpha`` the iteration already has.  They are computed
+from scratch, ``B^-1(b - A x_N)`` and ``c - [y A, y]`` with ``y = c_B B^-1``,
+only when a basis is installed, at the refresh, and once before the dual
+returns OPTIMAL, which it does not if the fresh values show an
+infeasibility the updated ones hid.
 
 Pivot rules are fixed for determinism.  The dual leaves on the largest
 infeasibility and enters on the least ratio, ties to the lowest variable
@@ -51,15 +52,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .constraints import GE, LE, ConstraintSystem, LinearConstraint
+from .constraints import GE, LE, ConstraintSystem, LinearConstraint, dense_rows
 from .errors import IterationLimit, LostDualFeasibility
 
 FEAS_TOL = 1e-7
-OPT_TOL = 1e-9
+# relative: the certificate's tolerance is OPT_TOL * (1 + max|c|), at most a
+# fifth of cardinal mode's delta 1e-9 * (1 + max|psi|) at every cost scale
+OPT_TOL = 1e-10
 PIVOT_TOL = 1e-10
 RATIO_TIE_TOL = 1e-9
 BLAND_AFTER = 100
@@ -68,14 +71,12 @@ REFACTOR_EVERY = 50
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
-
 
 @dataclass
 class LpProblem:
     names: Tuple[str, ...]
     A: np.ndarray            # m x n, rows normalized to <= or =
-    rel: Tuple[str, ...]
+    rel: np.ndarray          # m relation strings, LE or EQ
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -89,18 +90,21 @@ class LpProblem:
         return {name: j for j, name in enumerate(self.names)}
 
     @cached_property
-    def AI(self) -> np.ndarray:
-        """``[A | I]``: the structural columns, then one slack per row."""
-        return np.hstack([self.A, np.eye(len(self.b))])
+    def layout(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Slack upper bounds (inf for a ``<=`` row, 0 for ``=``), the cost
+        over structural | slack columns, and the certificate's tolerance."""
+        return (np.where(np.asarray(self.rel) == LE, math.inf, 0.0),
+                np.concatenate([self.c, np.zeros(len(self.b))]),
+                OPT_TOL * (1.0 + np.abs(self.c).max(initial=0.0)))
 
 
 @dataclass
 class BasisState:
-    """Warm-start handle: basis membership and the basis inverse with the
-    basis changes applied to it since it was last computed from scratch.
-    Warm solves copy ``binv``; none writes to it."""
+    """Warm-start handle: basis membership, the signed nonbasic status and
+    the basis inverse with the basis changes applied to it since it was last
+    computed from scratch.  Warm solves copy ``binv``; none writes to it."""
     basis: np.ndarray        # intp, the basic column at each row position
-    stat: np.ndarray
+    sgn: np.ndarray          # +1 at lower, -1 at upper if movable, else 0
     binv: np.ndarray
     changes: int
 
@@ -113,44 +117,25 @@ class LpResult:
     basis: Optional[BasisState]
 
 
-def _normalize_row(row: LinearConstraint, index: Dict[str, int],
-                   n: int) -> Tuple[np.ndarray, str, float]:
-    a = np.zeros(n)
-    for coeff, var in row.terms:
-        a[index[var]] += coeff
-    if row.relation == GE:
-        return -a, LE, -row.rhs
-    return a, row.relation, row.rhs
+def _le(A: np.ndarray, rel: np.ndarray, b: np.ndarray):
+    """The rows with each ``>=`` row negated into a ``<=`` row."""
+    flip = np.where(rel == GE, -1.0, 1.0)
+    return A * flip[:, None], np.where(rel == GE, LE, rel), b * flip
 
 
 def relax(system: ConstraintSystem) -> LpProblem:
     """Continuous [0,1] relaxation; objective matches Theta on 0-1 points."""
-    names = system.variables
-    index = {name: j for j, name in enumerate(names)}
-    n = len(names)
-    m = len(system.constraints)
-    A = np.zeros((m, n))
-    rel: List[str] = []
-    b = np.zeros(m)
-    for i, row in enumerate(system.constraints):
-        a, r, rhs = _normalize_row(row, index, n)
-        A[i] = a
-        rel.append(r)
-        b[i] = rhs
-    c = np.array([system.psi_true[x] - system.psi_false[x] for x in names])
-    c0 = float(sum(system.psi_false[x] for x in names))
-    p = LpProblem(tuple(names), A, tuple(rel), b,
-                  np.zeros(n), np.ones(n), c, c0)
-    p.index = index
-    return p
+    n = len(system.variables)
+    psi_true, psi_false = system.costs
+    return LpProblem(system.variables, *_le(*system.rows), np.zeros(n),
+                     np.ones(n), psi_true - psi_false,
+                     float(sum(psi_false.tolist())))
 
 
 def add_row(p: LpProblem, row: LinearConstraint) -> LpProblem:
-    a, r, rhs = _normalize_row(row, p.index, len(p.names))
-    q = LpProblem(p.names, np.vstack([p.A, a[None, :]]), p.rel + (r,),
-                  np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
-    q.index = p.index
-    return q
+    a, rel, rhs = _le(*dense_rows([row], p.index, len(p.names)))
+    return LpProblem(p.names, np.vstack([p.A, a]), np.append(p.rel, rel),
+                     np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
 
 
 def lu_factor(B: np.ndarray) -> np.ndarray:
@@ -164,52 +149,50 @@ def lu_solve(binv: np.ndarray, r: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
-    lower = p.lower.copy()
-    upper = p.upper.copy()
-    lower[j] = lo
-    upper[j] = hi
-    q = LpProblem(p.names, p.A, p.rel, p.b, lower, upper, p.c, p.c0)
-    q.index, q.AI = p.index, p.AI  # same rows: share the column layout
+    q = LpProblem(p.names, p.A, p.rel, p.b, p.lower.copy(), p.upper.copy(),
+                  p.c, p.c0)
+    q.lower[j], q.upper[j] = lo, hi
+    q.layout = p.layout  # same rows and costs: share it
     return q
 
 
 class _Worker:
-    """One solve session over the structural | slack column layout."""
+    """One solve session over the columns ``[A | I]``."""
 
     def __init__(self, p: LpProblem):
         self.p = p
         self.m, self.n = p.A.shape
-        m, n = self.m, self.n
-        self.A = p.AI
-        self.ntot = n + m
-        slack_up = np.array([math.inf if r == LE else 0.0 for r in p.rel])
-        self.lo = np.concatenate([p.lower, np.zeros(m)])
+        self.A = p.A
+        self.ntot = self.n + self.m
+        slack_up, self.c, self.opt_tol = p.layout
+        self.lo = np.concatenate([p.lower, np.zeros(self.m)])
         self.up = np.concatenate([p.upper, slack_up])
         self.boxed = self.up > self.lo + 1e-12
-        self.c = np.concatenate([p.c, np.zeros(m)])
-        self.stat = np.full(self.ntot, AT_LOWER, dtype=np.int8)
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
 
-    def _install(self, basis: np.ndarray, binv: np.ndarray,
+    def _install(self, basis: np.ndarray, sgn: np.ndarray, binv: np.ndarray,
                  changes: int) -> None:
         """Make ``basis`` current with ``binv``, its inverse after
-        ``changes`` eta updates; the worker owns and updates both."""
+        ``changes`` eta updates, and the status ``sgn``, zeroed here where a
+        variable cannot move; the worker owns and updates all three."""
         self.basis = basis
-        self.stat[basis] = BASIC
+        self.sgn = sgn * self.boxed
         self.binv = binv
         self.changes = changes
         self._evaluate()
 
     def _replace(self, pos: int, j: int, w: np.ndarray, leave_to: int) -> None:
-        """Column ``j`` enters at ``pos``; ``w`` is ``B^-1 A[:, j]``."""
+        """Column ``j`` enters at ``pos``; ``w`` is ``B^-1 a_j``; the leaving
+        one gets status ``leave_to``, +1 (at lower) or -1 (at upper)."""
         old = self.basis[pos]
         self.basis[pos] = j
-        self.stat[j] = BASIC
-        self.stat[old] = leave_to
+        self.sgn[j] = 0.0
+        self.sgn[old] = leave_to * self.boxed[old]
         self.changes += 1
         if self.changes >= REFACTOR_EVERY:
-            self._install(self.basis, lu_factor(self.A[:, self.basis]), 0)
+            B = np.hstack([self.A, np.eye(self.m)])[:, self.basis]
+            self._install(self.basis, self.sgn, lu_factor(B), 0)
             return
         # rows where w is exactly 0 would subtract exact zeros: skip them
         nz = np.flatnonzero(w)
@@ -219,40 +202,28 @@ class _Worker:
 
     def _evaluate(self) -> None:
         """Values ``x`` and reduced costs ``d`` of the current basis from
-        scratch: every nonbasic variable at its bound (0 for an infinite
-        one), the basic ones at ``B^-1(b - A x_N)``."""
-        x = np.where(self.stat == AT_UPPER, self.up, self.lo)
-        x[np.isinf(x)] = 0.0
+        scratch.  A nonbasic slack is 0: a ``<=`` slack never leaves at its
+        infinite upper bound, and an ``=`` slack's bounds are both 0."""
+        x = np.where(self.sgn < 0, self.up, self.lo)
         x[self.basis] = 0.0
-        x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x)
+        x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x[:self.n])
         self.x = x
-        self.d = self.c - lu_solve(self.binv, self.c[self.basis], trans=1) @ self.A
+        y = lu_solve(self.binv, self.c[self.basis], trans=1)
+        self.d = self.c - np.concatenate([y @ self.A, y])
         self.stale = False
 
-    def _movable(self) -> np.ndarray:
-        return (self.stat != BASIC) & self.boxed
-
-    def _tick(self):
-        self.pivots += 1
-        if self.pivots > self.limit:
-            raise IterationLimit(f"simplex exceeded {self.limit} pivots")
-
     def _dual_feasible(self) -> bool:
-        """Reduced-cost signs consistent with every movable nonbasic status,
-        to within ``OPT_TOL``: no nonbasic variable could improve the
-        objective by leaving its bound."""
-        d = self.d
-        movable = self._movable()
-        lo_ok = d[movable & (self.stat == AT_LOWER)] >= -OPT_TOL
-        up_ok = d[movable & (self.stat == AT_UPPER)] <= OPT_TOL
-        return bool(lo_ok.all() and up_ok.all())
+        """No movable nonbasic variable could improve the objective by
+        leaving its bound, to within the problem's ``opt_tol``."""
+        return bool((self.sgn * self.d >= -self.opt_tol).all())
 
     def _pivot(self, pos: int, j: int, alpha: np.ndarray,
                leaving_below: bool) -> None:
         """Column ``j`` replaces the basic variable at ``pos``, which leaves
         at the bound it violates; ``alpha`` is its row of ``B^-1 [A | I]``.
         The values and reduced costs move along the pivot."""
-        w = lu_solve(self.binv, self.A[:, j])
+        w = (lu_solve(self.binv, self.A[:, j]) if j < self.n
+             else self.binv[:, j - self.n].copy())  # a slack's column is e_i
         leave = self.basis[pos]
         bound = self.lo[leave] if leaving_below else self.up[leave]
         theta = (self.x[leave] - bound) / w[pos]
@@ -261,7 +232,7 @@ class _Worker:
         self.x[leave] = bound
         self.d -= (self.d[j] / alpha[j]) * alpha
         self.stale = True
-        self._replace(pos, j, w, AT_LOWER if leaving_below else AT_UPPER)
+        self._replace(pos, j, w, 1 if leaving_below else -1)
 
     def dual(self) -> str:
         """Dual simplex to OPTIMAL or INFEASIBLE.  OPTIMAL is returned only
@@ -288,32 +259,31 @@ class _Worker:
             else:
                 pos = int(np.argmax(viol))
             leaving_below = below[pos] >= above[pos]
-            alpha = self.binv[pos] @ self.A
-            d = self.d
-            movable = self._movable()
-            at_lo = movable & (self.stat == AT_LOWER)
-            at_up = movable & (self.stat == AT_UPPER)
-            if leaving_below:
-                elig = (at_lo & (alpha < -PIVOT_TOL)) | (at_up & (alpha > PIVOT_TOL))
-            else:
-                elig = (at_lo & (alpha > PIVOT_TOL)) | (at_up & (alpha < -PIVOT_TOL))
-            if not elig.any():
+            row = self.binv[pos]
+            alpha = np.concatenate([row @ self.A, row])
+            # a movable column may enter if moving it off its bound moves
+            # the leaving variable towards the bound it violates
+            toward = self.sgn * alpha
+            elig = np.flatnonzero(toward < -PIVOT_TOL if leaving_below
+                                  else toward > PIVOT_TOL)
+            if not elig.size:
                 return INFEASIBLE
-            ratios = np.full(self.ntot, math.inf)
-            ratios[elig] = np.abs(d[elig]) / np.abs(alpha[elig])
+            ratios = np.abs(self.d[elig]) / np.abs(alpha[elig])
             if bland:
                 # the lowest index among ratio ties enters
-                j = int(np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)[0])
+                k = int(np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)[0])
             else:
-                j = int(np.argmin(ratios))  # first minimum: lowest index at ties
-            degen = degen + 1 if ratios[j] <= 1e-10 else 0
-            self._pivot(pos, j, alpha, leaving_below)
-            self._tick()
+                k = int(np.argmin(ratios))  # first minimum: lowest index at ties
+            degen = degen + 1 if ratios[k] <= 1e-10 else 0
+            self._pivot(pos, int(elig[k]), alpha, leaving_below)
+            self.pivots += 1
+            if self.pivots > self.limit:
+                raise IterationLimit(f"simplex exceeded {self.limit} pivots")
 
     def result(self) -> LpResult:
         xs = self.x[:self.n]
         obj = float(self.p.c @ xs + self.p.c0)
-        state = BasisState(self.basis.copy(), self.stat.copy(), self.binv,
+        state = BasisState(self.basis.copy(), self.sgn.copy(), self.binv,
                            self.changes)
         return LpResult(OPTIMAL, xs, obj, state)
 
@@ -325,23 +295,28 @@ def _solve_from(p: LpProblem,
     fails the optimality certificate (dual feasibility) and so proves
     nothing.  Every run starts dual feasible, so an INFEASIBLE is a proof."""
     w = _Worker(p)
+    n, m = w.n, w.m
     if warm is None:
         # each structural column at the bound its cost sign picks: with
         # every variable boxed, the slack basis is then dual feasible
-        w.stat[:w.n] = np.where(p.c < 0, AT_UPPER, AT_LOWER)
-        w._install(np.arange(w.n, w.ntot), np.eye(w.m), 0)
+        sgn = np.concatenate([np.where(p.c < 0, -1.0, 1.0), np.zeros(m)])
+        w._install(np.arange(n, n + m), sgn, np.eye(m), 0)
     else:
         old_rows = warm.binv.shape[0]
-        # old stat layout: struct | old slacks; new slacks append at the end
-        w.stat[:w.n + old_rows] = warm.stat
-        # new rows are 0 in the old slack columns, so the old basis columns
-        # read A[new rows, old basis] there and the new slacks read I
-        binv = np.eye(w.m)
-        binv[:old_rows, :old_rows] = warm.binv
-        binv[old_rows:, :old_rows] = -w.A[old_rows:, warm.basis] @ warm.binv
-        w._install(np.concatenate([warm.basis,
-                                   np.arange(w.n + old_rows, w.ntot)]),
-                   binv, warm.changes)
+        if m == old_rows:
+            binv = warm.binv.copy()
+        else:
+            # new rows are 0 in the old slack columns, so the old basis
+            # columns read A[new rows, old basis] there and the new slacks I
+            binv = np.eye(m)
+            binv[:old_rows, :old_rows] = warm.binv
+            struct = warm.basis < n
+            binv[old_rows:, :old_rows] = \
+                -w.A[old_rows:, warm.basis[struct]] @ warm.binv[struct]
+        # old status layout: struct | old slacks; the new slacks are basic
+        w._install(np.concatenate([warm.basis, np.arange(n + old_rows, n + m)]),
+                   np.concatenate([warm.sgn, np.zeros(m - old_rows)]), binv,
+                   warm.changes)
         if not w._dual_feasible():
             return None
     if w.dual() == INFEASIBLE:
@@ -352,11 +327,10 @@ def _solve_from(p: LpProblem,
 def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
     """Solve the boxed LP; OPTIMAL with a certified basis, or INFEASIBLE.
 
-    A warm start that fails (it is not dual feasible, hits the pivot limit,
-    meets a singular basis, or ends on a basis that fails its certificate)
-    is retried once from the slack basis.  A solve from the slack basis that
-    fails its certificate raises ``LostDualFeasibility``: an optimum is
-    never returned uncertified."""
+    A warm start that fails (not dual feasible, the pivot limit, a singular
+    basis, or a failed certificate) is retried once from the slack basis; a
+    slack-basis solve that fails its certificate raises
+    ``LostDualFeasibility``: an optimum is never returned uncertified."""
     if warm is not None:
         try:
             r = _solve_from(p, warm)

@@ -97,26 +97,33 @@ class Waodag:
     def cost_of(self, node: str, value: bool) -> float:
         return self.cost_true[node] if value else self.cost_false[node]
 
+    @cached_property
+    def checked(self) -> bool:
+        """Structural invariants hold, else a ModelError names the offender.
+        Cached, so an immutable graph is checked once; a failure is not."""
+        nodeset = set(self.nodes)
+        for p, c in self.edges:
+            if p not in nodeset:
+                raise DanglingEdge(f"edge references unknown node {p!r}")
+            if c not in nodeset:
+                raise DanglingEdge(f"edge references unknown node {c!r}")
+        for q in self.evidence:
+            if q not in nodeset:
+                raise UnknownEvidenceNode(repr(q))
+        for n in self.nodes:
+            for v in (True, False):
+                val = self.cost_of(n, v)
+                if not math.isfinite(val):
+                    raise NonFiniteCost(f"cost({n!r}, {v}) = {val!r}")
+            if self.parents[n] and self.label.get(n) not in (AND, OR):
+                raise ParseError(f"internal node {n!r} has no and/or label")
+        self.topo_order  # raises CyclicGraph
+        return True
+
 
 def validate(w: Waodag) -> None:
-    """Check structural invariants; raises a ModelError naming the offender."""
-    nodeset = set(w.nodes)
-    for p, c in w.edges:
-        if p not in nodeset:
-            raise DanglingEdge(f"edge references unknown node {p!r}")
-        if c not in nodeset:
-            raise DanglingEdge(f"edge references unknown node {c!r}")
-    for q in w.evidence:
-        if q not in nodeset:
-            raise UnknownEvidenceNode(repr(q))
-    for n in w.nodes:
-        for v in (True, False):
-            val = w.cost_of(n, v)
-            if not math.isfinite(val):
-                raise NonFiniteCost(f"cost({n!r}, {v}) = {val!r}")
-        if w.parents[n] and w.label.get(n) not in (AND, OR):
-            raise ParseError(f"internal node {n!r} has no and/or label")
-    w.topo_order  # raises CyclicGraph
+    """Check the graph once (``Waodag.checked``); raises a ModelError."""
+    w.checked
 
 
 def _check_domain(w: Waodag, e: TruthAssignment) -> None:

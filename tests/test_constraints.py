@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abduce import bayes as bn
-from abduce import search
+from abduce import model_io, search
+from abduce import simplex as sx
 from abduce import waodag as wd
 from abduce.constraints import (
     ConstraintSystem,
@@ -27,9 +29,11 @@ from abduce.constraints import (
     truth_to_solution,
 )
 from abduce.errors import (
+    CyclicGraph,
     DomainMismatch,
     IncompleteInstantiation,
     NotASolution,
+    RowNotNormalized,
     ZeroProbabilityRejected,
 )
 from abduce.generate import random_bayesnet, random_waodag
@@ -429,6 +433,121 @@ def test_every_point_of_the_encoding_is_permissible(case):
         assert is_permissible(enc, r.assignment)
     want = math.prod(len(net.ranges[v]) for v in net.variables if v not in e)
     assert len(ranked) == want
+
+
+# --- the array form against the named rows ------------------------------------
+
+RELATIONS = ("<=", ">=", "=")
+
+
+@st.composite
+def systems_with_points(draw):
+    """Small systems with LE, GE and EQ rows (small integer coefficients, so
+    every row sum is exact; a variable may repeat within a row), some rows
+    added by ``extended`` as cuts are, and one 0-1 point."""
+    n = draw(st.integers(1, 5))
+    names = tuple(f"x{j}" for j in range(n))
+    coeff = st.integers(-3, 3).map(float)
+    row = st.builds(
+        LinearConstraint,
+        st.lists(st.tuples(coeff, st.sampled_from(names)), max_size=6).map(tuple),
+        st.sampled_from(RELATIONS), st.integers(-3, 3).map(float))
+    cost = st.floats(-1e3, 1e3)
+    system = ConstraintSystem(
+        names, tuple(draw(st.lists(row, max_size=5))),
+        {x: draw(cost) for x in names}, {x: draw(cost) for x in names})
+    cuts = draw(st.lists(row, max_size=2))
+    if cuts:
+        system = system.extended(cuts)
+    point = {x: draw(st.integers(0, 1)) for x in names}
+    return system, point
+
+
+def normalized_row(row, index, n):
+    """One row the old way: term by term, ``>=`` negated into ``<=``."""
+    a = np.zeros(n)
+    for c, var in row.terms:
+        a[index[var]] += c
+    if row.relation == ">=":
+        return -a, "<=", -row.rhs
+    return a, row.relation, row.rhs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(systems_with_points())
+def test_array_form_agrees_with_the_named_rows(case):
+    system, s = case
+    x = np.array([s[v] for v in system.variables], dtype=float)
+    holds = all(row.holds(s) for row in system.constraints)
+    assert satisfies(system, s) is holds
+    assert satisfies(system, x) is holds
+    # priced term by term, left to right, bit for bit
+    theta = sum(s[v] * system.psi_true[v] + (1 - s[v]) * system.psi_false[v]
+                for v in system.variables)
+    assert objective(system, s) == objective(system, x) == theta
+    p = sx.relax(system)
+    n = len(system.variables)
+    assert p.A.shape == (len(system.constraints), n)
+    for i, row in enumerate(system.constraints):
+        a, rel, rhs = normalized_row(row, system.index, n)
+        assert np.array_equal(p.A[i], a)
+        assert (p.rel[i], p.b[i]) == (rel, rhs)
+    with pytest.raises(DomainMismatch):
+        satisfies(system, {**s, "ghost": 1})
+    with pytest.raises(DomainMismatch):
+        objective(system, np.append(x, 1.0))
+    if n > 1:
+        with pytest.raises(DomainMismatch):
+            objective(system, {v: s[v] for v in system.variables[1:]})
+        with pytest.raises(DomainMismatch):
+            satisfies(system, x[1:])
+
+
+# --- model checks on the parse -> encode path -------------------------------------
+
+def test_encoders_reject_invalid_models_as_parse_does():
+    cyclic = wd.Waodag.build(["a", "b"], [("a", "b"), ("b", "a")],
+                             {"a": wd.OR, "b": wd.OR}, {})
+    with pytest.raises(CyclicGraph):
+        model_io.parse_waodag(model_io.waodag_to_doc(cyclic))
+    with pytest.raises(CyclicGraph):
+        encode_waodag(cyclic)
+    net = random_bayesnet(0, 3)
+    cpt = dict(net.cpt)
+    cpt[next(iter(cpt))] += 0.25
+    broken = bn.BayesianNetwork(net.variables, net.ranges, net.parents, cpt)
+    with pytest.raises(RowNotNormalized):
+        model_io.parse_bayesnet(model_io.bayesnet_to_doc(broken))
+    with pytest.raises(RowNotNormalized):
+        encode_bayesnet(broken)
+
+
+def spy(monkeypatch, cls, name):
+    """Record each call of the method ``cls.name``."""
+    calls = []
+    method = getattr(cls, name)
+
+    def recording(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def test_parse_then_encode_checks_the_model_once(tony, fig, monkeypatch):
+    # cost_of and entry_count are read by the model checks, not the encoders
+    graph_checks = spy(monkeypatch, wd.Waodag, "cost_of")
+    w = model_io.parse_waodag(model_io.waodag_to_doc(tony))
+    assert graph_checks
+    graph_checks.clear()
+    encode_waodag(w)
+    assert not graph_checks
+    net_checks = spy(monkeypatch, bn.BayesianNetwork, "entry_count")
+    b = model_io.parse_bayesnet(model_io.bayesnet_to_doc(fig))
+    assert net_checks == [1]
+    encode_bayesnet(b)
+    assert net_checks == [1]
 
 
 # --- golden dumps --------------------------------------------------------------

@@ -28,6 +28,7 @@ from abduce.generate import random_bayesnet, random_evidence, random_waodag
 from util import (
     all_01_points,
     assert_streams_match,
+    group_stream,
     inst_key,
     solution_to_truth,
     strict_graph,
@@ -520,20 +521,56 @@ def test_weak_duality_check_fires(tony, monkeypatch):
         search.solve_optimal(encode_waodag(tony).system)
 
 
+def scaled_graph(w, scale):
+    """``w`` with every cost multiplied by ``scale``."""
+    return wd.Waodag.build(w.nodes, w.edges, w.label,
+                           {q: c * scale for q, c in w.cost_true.items()},
+                           {q: c * scale for q, c in w.cost_false.items()},
+                           w.evidence)
+
+
 @pytest.mark.parametrize("scale", [1e7, 1e8])
 def test_weak_duality_tolerance_scales_with_cost(scale):
     # LP rounding grows with the costs: at these scales the bound of an
     # integral node exceeds its exact cost by more than an absolute 1e-9
     w = random_waodag(17, 8, 25)
-    big = wd.Waodag.build(w.nodes, w.edges, w.label,
-                          {q: c * scale for q, c in w.cost_true.items()},
-                          {q: c * scale for q, c in w.cost_false.items()},
-                          w.evidence)
     base = search.enumerate_best(encode_waodag(w).system, 8)
-    ranked = search.enumerate_best(encode_waodag(big).system, 8)
+    ranked = search.enumerate_best(encode_waodag(scaled_graph(w, scale)).system, 8)
     assert [r.assignment for r in ranked] == [r.assignment for r in base]
     assert [r.cost for r in ranked] == pytest.approx(
         [r.cost * scale for r in base], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, scale", [(23, 1e7), (20, 1e8), (23, 1e8)])
+def test_certificate_tolerance_scales_with_cost(seed, scale):
+    """With an absolute 1e-9 in the dual-feasibility certificate these raised
+    ``LostDualFeasibility``: reduced costs round in proportion to the costs.
+    The scaled stream is the unscaled one, scaled, up to the order of
+    equal-cost ties (and so which member of the last tie group k keeps)."""
+    w = random_waodag(seed, 8, 25)
+    base = search.enumerate_best(encode_waodag(w).system, 8)
+    ranked = search.enumerate_best(encode_waodag(scaled_graph(w, scale)).system, 8)
+    assert [r.cost for r in ranked] == pytest.approx(
+        [r.cost * scale for r in base], rel=1e-12)
+    ties = [[keys for _, keys in group_stream(
+        [(truth_key(r.assignment), r.cost / f) for r in stream], 1e-9)]
+        for stream, f in ((ranked, scale), (base, 1.0))]
+    assert ties[0][:-1] == ties[1][:-1]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+@pytest.mark.parametrize("seed", range(4))
+def test_cardinal_delta_stays_above_the_certificate_tolerance(seed, scale):
+    """Cardinal mode raises zero cost gaps to delta; the certificate's
+    tolerance must stay well below delta at every cost scale, or a warm
+    start that delta makes dual infeasible could pass as optimal."""
+    w = scaled_graph(random_waodag(seed, 5, 8), scale)
+    enc = encode_waodag(w)
+    _, _, opt_tol = sx.relax(constraints.perturb_costs(enc.system)).layout
+    assert opt_tol <= constraints.default_delta(enc.system) / 5
+    ranked = search.enumerate_cardinal(enc, search.ALL)
+    assert_streams_match(cardinal_stream(ranked, enc),
+                         oracle_cardinal_stream(w), 1e-6 * scale)
 
 
 def test_integral_point_check_fires(tony, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestSolve:
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.basis.basis, b.basis.basis)
-        assert np.array_equal(a.basis.stat, b.basis.stat)
+        assert np.array_equal(a.basis.sgn, b.basis.sgn)
 
     def test_degenerate_instance_terminates(self):
         # many redundant tight rows through the origin invite cycling
@@ -522,24 +523,28 @@ def test_values_evaluated_at_install_refresh_and_end(monkeypatch):
 
 
 class TestColumnLayout:
+    """The per-problem layout (slack bounds, structural | slack cost and the
+    optimality tolerance) is built once per row set and cost vector."""
+
     def test_bound_children_share_it(self, tony_lp):
         child = sx.with_bounds(tony_lp, 0, 1.0, 1.0)
-        assert child.AI is tony_lp.AI
-        assert sx.with_bounds(child, 1, 0.0, 0.0).AI is tony_lp.AI
-        assert child.index is tony_lp.index
+        assert child.layout is tony_lp.layout
+        assert sx.with_bounds(child, 1, 0.0, 0.0).layout is tony_lp.layout
 
     def test_new_rows_get_their_own(self, tony_lp):
         cut = tony_cut(tony_lp)
-        assert cut.AI is not tony_lp.AI
-        assert np.array_equal(cut.AI, np.hstack([cut.A, np.eye(len(cut.b))]))
-        assert cut.index is tony_lp.index
+        assert cut.layout is not tony_lp.layout
+        slack_up, cost, _ = cut.layout
+        assert list(slack_up) == [math.inf if r == "<=" else 0.0
+                                  for r in cut.rel]
+        assert np.array_equal(cost, np.concatenate([cut.c, np.zeros(8)]))
 
     def test_replace_drops_it(self, tony_lp):
-        layout = tony_lp.AI
-        flipped = dataclasses.replace(tony_lp, A=-tony_lp.A)
-        assert flipped.AI is not layout
-        assert np.array_equal(flipped.AI[:, :flipped.A.shape[1]],
-                              -tony_lp.A)
+        layout = tony_lp.layout
+        scaled = dataclasses.replace(tony_lp, c=1e8 * tony_lp.c)
+        assert scaled.layout is not layout
+        assert scaled.layout[2] == pytest.approx(
+            sx.OPT_TOL * (1.0 + 8e8))
 
 
 # --- dual feasibility and Bland's rule ---------------------------------------
@@ -637,3 +642,13 @@ def test_failed_slack_certificate_raises(tony_lp, monkeypatch):
     # a warm start that fails its certificate fails from the slack basis too
     with pytest.raises(LostDualFeasibility):
         sx.solve(tony_cut(tony_lp), warm=root.basis)
+
+
+def test_warm_start_under_flipped_costs_is_not_dual_feasible(tony_lp, linprog):
+    """The real start check, not a patched one: negating every cost turns
+    the parent's optimal basis dual infeasible, so the warm start is refused
+    before any pivot and the slack-basis solve answers."""
+    root = sx.solve(tony_lp)
+    flipped = dataclasses.replace(tony_lp, c=-tony_lp.c)
+    assert sx._solve_from(flipped, root.basis) is None
+    assert_matches_highs(flipped, sx.solve(flipped, warm=root.basis), linprog)
