@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -46,11 +45,6 @@ def _jval(obj):
 
 def emit(record: dict) -> None:
     click.echo(_jval(record))
-
-
-def _log(msg: str) -> None:
-    if os.environ.get("ABDUCE_LOG"):
-        click.echo(msg, err=True)
 
 
 def cli_errors(f):
@@ -117,7 +111,6 @@ def abduce_enumerate(model, mode, k, delta):
         ranked = search.enumerate_cardinal(enc, want, delta=delta)
     else:
         ranked = search.enumerate_best(enc.system, want)
-    _log(f"emitted {len(ranked)} solutions")
     for r in ranked:
         emit(_waodag_record(r.rank, r.assignment, r.cost, w))
 
@@ -222,7 +215,6 @@ def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
     e = _gather_evidence(b, evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     ranked = search.enumerate_permissible(enc, _parse_k(k))
-    _log(f"emitted {len(ranked)} solutions")
     for r in ranked:
         emit(_mpe_record(r.rank, r.assignment, r.cost, r.probability,
                          r.instantiation))

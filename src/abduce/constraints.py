@@ -3,11 +3,12 @@
 A system is (variables, rows, per-variable true/false costs) plus its
 determining scope: the variables whose 0-1 values fix all the others.  The
 encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
-each system also holds them once as unnormalised arrays in variable order
-(``rows``, ``costs``), which ``satisfies``, ``objective`` and the LP
-relaxation read and ``extended`` and ``perturb_costs`` carry on.  WAODAG
-graphs encode with one variable per node and the four AND/OR row shapes plus
-optional evidence equalities; the hypotheses determine every other node.
+each system also holds them once as arrays in variable order (``rows``, each
+relation kept as written, and ``costs``), which ``satisfies``, ``objective``
+and the LP relaxation read and ``extended`` and ``perturb_costs`` carry on.
+WAODAG graphs encode with one variable per node and the four AND/OR row
+shapes plus optional evidence equalities; the hypotheses determine every
+other node.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
 conditionals, and conditional true-costs are negative natural logs of the
@@ -57,14 +58,6 @@ class LinearConstraint:
     terms: Tuple[Tuple[float, str], ...]
     relation: str  # one of LE, GE, EQ
     rhs: float
-
-    def holds(self, s: Mapping[str, float], tol: float = FEASIBILITY_TOL) -> bool:
-        lhs = sum(coeff * s[var] for coeff, var in self.terms)
-        if self.relation == LE:
-            return lhs <= self.rhs + tol
-        if self.relation == GE:
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
 
 
 # A (m x n; terms on one variable add up), rel (LE, GE or EQ as written), b
@@ -142,7 +135,8 @@ def objective(system: ConstraintSystem, s: Point) -> float:
 
 def satisfies(system: ConstraintSystem, s: Point,
               tol: float = FEASIBILITY_TOL) -> bool:
-    """Every row holds at ``s``, as ``LinearConstraint.holds`` reads it."""
+    """Every row holds at ``s`` to within ``tol``: ``lhs <= rhs + tol``,
+    ``lhs >= rhs - tol`` or ``|lhs - rhs| <= tol`` by its relation."""
     A, rel, b = system.rows
     lhs = A @ _point(system, s)
     ok = np.where(rel == LE, lhs <= b + tol,

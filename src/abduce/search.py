@@ -3,9 +3,11 @@
 Best-first branch and bound over the LP relaxation finds optima: it pops
 nodes in order of their LP bound, and the first node whose LP optimum is
 integral is optimal, because that point costs its bound and every bound left
-in the heap is at least as high.  The enumeration loop adds one cut per
-emitted solution and re-solves, warm-starting the root from the previous
-basis; ``solve_optimal`` is the same loop stopped at k=1.  Every cut and
+in the heap is at least as high.  The enumeration loop holds one LP problem,
+whose system is the searched one: it adds one cut row per emitted solution,
+as written, and re-solves, warm-starting the root from the previous basis;
+branch and bound checks and prices each point on that same system.
+``solve_optimal`` is the same loop stopped at k=1.  Every cut and
 every branching choice ranges over the system's determining scope
 (``ConstraintSystem.scope``): the hypotheses of a graph encoding, the
 indicators of a Bayesian encoding, all variables of a hand-built system.
@@ -95,9 +97,9 @@ def _pick_fractional(x, indices: np.ndarray) -> int:
     return frac_j
 
 
-def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
-                      warm: Optional[sx.BasisState]):
-    """Returns (assignment or None, cost or None, root LpResult).
+def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
+    """Returns (assignment or None, cost or None, root LpResult); the point
+    is checked and priced on ``p.system``.
 
     Nodes pop in order of their LP bound.  A node's bound is at most the cost
     of every 0-1 point inside its variable bounds, and branching splits a
@@ -107,7 +109,8 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
     Branches on the most fractional scope variable; a fractional variable
     outside the scope is branched on only when the whole scope is integral.
     """
-    scope = np.array([p.index[x] for x in system.scope], dtype=np.intp)
+    system = p.system
+    scope = np.array([system.index[x] for x in system.scope], dtype=np.intp)
     root = sx.solve(p, warm=warm)
     if root.status != sx.OPTIMAL:
         return None, None, root
@@ -130,7 +133,8 @@ def _branch_and_bound(system: ConstraintSystem, p: sx.LpProblem,
             if not satisfies(system, point, tol=1e-6):
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
-            return dict(zip(p.names, point.astype(int).tolist())), cost01, root
+            return (dict(zip(system.variables, point.astype(int).tolist())),
+                    cost01, root)
         nodes += 1
         if nodes > NODE_LIMIT:
             raise NodeLimitExceeded(f"{nodes} branch-and-bound nodes")
@@ -148,11 +152,11 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
     warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s, cost)``
     reports, where ``cost`` is the point's cost under the searched system
     (cut rows carry no cost, so every extension prices points alike)."""
-    current, p, warm = system, sx.relax(system), None
+    p, warm = sx.relax(system), None
     out: List[RankedSolution] = []
     want = math.inf if k == ALL else int(k)
     while len(out) < want:
-        s, cost01, root = _branch_and_bound(current, p, warm)
+        s, cost01, root = _branch_and_bound(p, warm)
         if s is None:
             break
         out.append(finish(len(out) + 1, s, cost01))
@@ -162,7 +166,7 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
             row = cut(s, system.scope)
         except EmptyBaseSet:
             break
-        current, p, warm = current.extended([row]), sx.add_row(p, row), root.basis
+        p, warm = sx.add_row(p, row), root.basis
     return out
 
 

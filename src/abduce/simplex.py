@@ -1,19 +1,22 @@
 """Bounded-variable revised simplex over [0,1] relaxations.
 
-Solves min c.x subject to the system rows with every variable boxed, over
-the columns ``[A | I]``: the structural columns, then one slack per row.
-``relax`` takes ``A`` from the system's arrays with each ``>=`` row negated,
-``add_row`` appends one cut row, and only a refresh builds the slack block:
-a slack's entry in a pivot row is that row of ``B^-1``, and its column of
-``B^-1 [A | I]`` is a column of ``B^-1``.  ``LpProblem.layout`` (slack bounds,
-full cost, optimality tolerance) is built once per row set and cost vector
-and shared by every bound change.
+An LP problem is a constraint system plus variable bounds.  It solves
+min c.x subject to the system's rows, read as written, over the columns
+``[A | I]``: the structural columns, then one slack ``s = b - A x`` per row,
+bounded by its relation: [0, inf) for ``<=``, (-inf, 0] for ``>=`` and
+[0, 0] for ``=``.  ``relax`` bounds every variable to [0, 1], ``add_row``
+extends the system by one cut row, and only a refresh builds the slack
+block: a slack's entry in a pivot row is that row of ``B^-1``, and its column
+of ``B^-1 [A | I]`` is a column of ``B^-1``.  ``LpProblem.layout`` (slack
+bounds, cost, optimality tolerance) is built once per system and shared by
+every bound change.
 
-Every solve is a dual simplex from a dual-feasible basis.  A cold solve
-starts from the slack basis with each structural column at the bound its
-cost sign picks (upper when ``c_j < 0``), dual feasible because every
-variable is boxed.  A warm solve starts from its parent's optimal basis,
-after cut rows or bound changes, only if that basis is still dual feasible.
+Every solve is a dual simplex from a dual-feasible basis.  A cold solve is
+a warm solve from the basis of zero rows, each structural column at the
+bound its cost sign picks (upper when ``c_j < 0``): bordered to the slack
+basis, it is dual feasible because every structural variable is boxed.  A
+warm solve starts from its parent's optimal basis, after cut rows or bound
+changes, only if that basis is still dual feasible.
 Running out of entering columns from a dual-feasible start proves the
 problem infeasible; a primal-feasible basis is returned as optimal only if
 it passes a final certificate: every reduced cost has the sign its nonbasic
@@ -52,11 +55,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constraints import GE, LE, ConstraintSystem, LinearConstraint, dense_rows
+from .constraints import GE, LE, ConstraintSystem, LinearConstraint
 from .errors import IterationLimit, LostDualFeasibility
 
 FEAS_TOL = 1e-7
@@ -72,30 +75,33 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 
+class Layout(NamedTuple):
+    """Slack bounds by relation, costs and the certificate's tolerance of
+    one system; bound changes share it."""
+    slack_lo: np.ndarray     # -inf for a ``>=`` row, else 0
+    slack_up: np.ndarray     # inf for a ``<=`` row, else 0
+    c: np.ndarray            # psi_true - psi_false
+    c0: float                # the sum of psi_false
+    cost: np.ndarray         # c over the structural | slack columns
+    opt_tol: float           # the certificate's tolerance
+
+
 @dataclass
 class LpProblem:
-    names: Tuple[str, ...]
-    A: np.ndarray            # m x n, rows normalized to <= or =
-    rel: np.ndarray          # m relation strings, LE or EQ
-    b: np.ndarray
+    system: ConstraintSystem
     lower: np.ndarray
     upper: np.ndarray
-    c: np.ndarray
-    c0: float = 0.0
-
-    # Built once per problem on first use.  ``dataclasses.replace`` makes a
-    # new problem without them, so a replaced ``A`` or ``rel`` gets its own.
-    @cached_property
-    def index(self) -> Dict[str, int]:
-        return {name: j for j, name in enumerate(self.names)}
 
     @cached_property
-    def layout(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Slack upper bounds (inf for a ``<=`` row, 0 for ``=``), the cost
-        over structural | slack columns, and the certificate's tolerance."""
-        return (np.where(np.asarray(self.rel) == LE, math.inf, 0.0),
-                np.concatenate([self.c, np.zeros(len(self.b))]),
-                OPT_TOL * (1.0 + np.abs(self.c).max(initial=0.0)))
+    def layout(self) -> Layout:
+        _, rel, _ = self.system.rows
+        psi_true, psi_false = self.system.costs
+        c = psi_true - psi_false
+        return Layout(np.where(rel == GE, -math.inf, 0.0),
+                      np.where(rel == LE, math.inf, 0.0), c,
+                      float(sum(psi_false.tolist())),
+                      np.concatenate([c, np.zeros(len(rel))]),
+                      OPT_TOL * (1.0 + np.abs(c).max(initial=0.0)))
 
 
 @dataclass
@@ -117,25 +123,14 @@ class LpResult:
     basis: Optional[BasisState]
 
 
-def _le(A: np.ndarray, rel: np.ndarray, b: np.ndarray):
-    """The rows with each ``>=`` row negated into a ``<=`` row."""
-    flip = np.where(rel == GE, -1.0, 1.0)
-    return A * flip[:, None], np.where(rel == GE, LE, rel), b * flip
-
-
 def relax(system: ConstraintSystem) -> LpProblem:
     """Continuous [0,1] relaxation; objective matches Theta on 0-1 points."""
     n = len(system.variables)
-    psi_true, psi_false = system.costs
-    return LpProblem(system.variables, *_le(*system.rows), np.zeros(n),
-                     np.ones(n), psi_true - psi_false,
-                     float(sum(psi_false.tolist())))
+    return LpProblem(system, np.zeros(n), np.ones(n))
 
 
 def add_row(p: LpProblem, row: LinearConstraint) -> LpProblem:
-    a, rel, rhs = _le(*dense_rows([row], p.index, len(p.names)))
-    return LpProblem(p.names, np.vstack([p.A, a]), np.append(p.rel, rel),
-                     np.append(p.b, rhs), p.lower, p.upper, p.c, p.c0)
+    return LpProblem(p.system.extended([row]), p.lower, p.upper)
 
 
 def lu_factor(B: np.ndarray) -> np.ndarray:
@@ -149,10 +144,9 @@ def lu_solve(binv: np.ndarray, r: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
-    q = LpProblem(p.names, p.A, p.rel, p.b, p.lower.copy(), p.upper.copy(),
-                  p.c, p.c0)
+    q = LpProblem(p.system, p.lower.copy(), p.upper.copy())
     q.lower[j], q.upper[j] = lo, hi
-    q.layout = p.layout  # same rows and costs: share it
+    q.layout = p.layout  # same system: share it
     return q
 
 
@@ -160,13 +154,13 @@ class _Worker:
     """One solve session over the columns ``[A | I]``."""
 
     def __init__(self, p: LpProblem):
-        self.p = p
-        self.m, self.n = p.A.shape
-        self.A = p.A
+        self.A, _, self.b = p.system.rows
+        self.m, self.n = self.A.shape
         self.ntot = self.n + self.m
-        slack_up, self.c, self.opt_tol = p.layout
-        self.lo = np.concatenate([p.lower, np.zeros(self.m)])
-        self.up = np.concatenate([p.upper, slack_up])
+        self.layout = lay = p.layout
+        self.c, self.opt_tol = lay.cost, lay.opt_tol
+        self.lo = np.concatenate([p.lower, lay.slack_lo])
+        self.up = np.concatenate([p.upper, lay.slack_up])
         self.boxed = self.up > self.lo + 1e-12
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
@@ -202,11 +196,11 @@ class _Worker:
 
     def _evaluate(self) -> None:
         """Values ``x`` and reduced costs ``d`` of the current basis from
-        scratch.  A nonbasic slack is 0: a ``<=`` slack never leaves at its
-        infinite upper bound, and an ``=`` slack's bounds are both 0."""
+        scratch.  A nonbasic slack is 0, the one finite bound it can leave
+        at."""
         x = np.where(self.sgn < 0, self.up, self.lo)
         x[self.basis] = 0.0
-        x[self.basis] = lu_solve(self.binv, self.p.b - self.A @ x[:self.n])
+        x[self.basis] = lu_solve(self.binv, self.b - self.A @ x[:self.n])
         self.x = x
         y = lu_solve(self.binv, self.c[self.basis], trans=1)
         self.d = self.c - np.concatenate([y @ self.A, y])
@@ -282,7 +276,7 @@ class _Worker:
 
     def result(self) -> LpResult:
         xs = self.x[:self.n]
-        obj = float(self.p.c @ xs + self.p.c0)
+        obj = float(self.layout.c @ xs + self.layout.c0)
         state = BasisState(self.basis.copy(), self.sgn.copy(), self.binv,
                            self.changes)
         return LpResult(OPTIMAL, xs, obj, state)
@@ -297,28 +291,28 @@ def _solve_from(p: LpProblem,
     w = _Worker(p)
     n, m = w.n, w.m
     if warm is None:
-        # each structural column at the bound its cost sign picks: with
-        # every variable boxed, the slack basis is then dual feasible
-        sgn = np.concatenate([np.where(p.c < 0, -1.0, 1.0), np.zeros(m)])
-        w._install(np.arange(n, n + m), sgn, np.eye(m), 0)
+        # the basis of zero rows, each structural column at the bound its
+        # cost sign picks: with every variable boxed, the slack basis it
+        # borders to is dual feasible
+        warm = BasisState(np.zeros(0, dtype=np.intp),
+                          np.where(w.layout.c < 0, -1.0, 1.0), np.eye(0), 0)
+    old_rows = warm.binv.shape[0]
+    if m == old_rows:
+        binv = warm.binv.copy()
     else:
-        old_rows = warm.binv.shape[0]
-        if m == old_rows:
-            binv = warm.binv.copy()
-        else:
-            # new rows are 0 in the old slack columns, so the old basis
-            # columns read A[new rows, old basis] there and the new slacks I
-            binv = np.eye(m)
-            binv[:old_rows, :old_rows] = warm.binv
-            struct = warm.basis < n
-            binv[old_rows:, :old_rows] = \
-                -w.A[old_rows:, warm.basis[struct]] @ warm.binv[struct]
-        # old status layout: struct | old slacks; the new slacks are basic
-        w._install(np.concatenate([warm.basis, np.arange(n + old_rows, n + m)]),
-                   np.concatenate([warm.sgn, np.zeros(m - old_rows)]), binv,
-                   warm.changes)
-        if not w._dual_feasible():
-            return None
+        # new rows are 0 in the old slack columns, so the old basis columns
+        # read A[new rows, old basis] there and the new slacks I
+        binv = np.eye(m)
+        binv[:old_rows, :old_rows] = warm.binv
+        struct = warm.basis < n
+        binv[old_rows:, :old_rows] = \
+            -w.A[old_rows:, warm.basis[struct]] @ warm.binv[struct]
+    # old status layout: struct | old slacks; the new slacks are basic
+    w._install(np.concatenate([warm.basis, np.arange(n + old_rows, n + m)]),
+               np.concatenate([warm.sgn, np.zeros(m - old_rows)]), binv,
+               warm.changes)
+    if not w._dual_feasible():
+        return None
     if w.dual() == INFEASIBLE:
         return LpResult(INFEASIBLE, None, None, None)
     return w.result() if w._dual_feasible() else None

@@ -249,13 +249,13 @@ def test_criterion_10_solver_internals(capsys):
             w = random_waodag(seed, n_hypotheses=3 + seed % 5,
                               n_internal=4 + seed % 6)
             p = sx.relax(encode_waodag(w).system)
-            assert len(p.names) <= 30
+            assert len(p.system.variables) <= 30
             parent = sx.solve(p)
             for _ in range(12):
                 if parent.status != sx.OPTIMAL or trials >= 1000:
                     break
-                k = rng.randint(1, min(4, len(p.names)))
-                chosen = rng.sample(list(p.names), k)
+                k = rng.randint(1, min(4, len(p.system.variables)))
+                chosen = rng.sample(list(p.system.variables), k)
                 terms = tuple((float(rng.choice([-2, -1, 1, 2])), x)
                               for x in chosen)
                 from abduce.constraints import LinearConstraint

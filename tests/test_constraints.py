@@ -38,7 +38,7 @@ from abduce.errors import (
 )
 from abduce.generate import random_bayesnet, random_waodag
 
-from util import all_01_points, solution_to_truth, strict_graph
+from util import all_01_points, holds, solution_to_truth, strict_graph
 
 T, F = "true", "false"
 
@@ -87,13 +87,13 @@ class TestSatisfies:
         assert satisfies(system, {"x": 1})
 
     def test_relations(self):
-        row = lambda rel, rhs: LinearConstraint(((1.0, "x"),), rel, rhs)
-        assert row("<=", 0.0).holds({"x": 0})
-        assert not row("<=", 0.0).holds({"x": 1})
-        assert row(">=", 1.0).holds({"x": 1})
-        assert not row(">=", 1.0).holds({"x": 0})
-        assert row("=", 1.0).holds({"x": 1})
-        assert not row("=", 1.0).holds({"x": 0})
+        # each row holds at x = ok only
+        for rel, rhs, ok in (("<=", 0.0, 0), (">=", 1.0, 1), ("=", 1.0, 1)):
+            row = LinearConstraint(((1.0, "x"),), rel, rhs)
+            system = ConstraintSystem(("x",), (row,), {"x": 0.0}, {"x": 0.0})
+            for v in (0, 1):
+                assert satisfies(system, {"x": v}) is (v == ok)
+                assert holds(row, {"x": v}) is (v == ok)
 
 
 # --- WAODAG encoder -----------------------------------------------------------
@@ -463,13 +463,11 @@ def systems_with_points(draw):
     return system, point
 
 
-def normalized_row(row, index, n):
-    """One row the old way: term by term, ``>=`` negated into ``<=``."""
+def written_row(row, index, n):
+    """One row term by term, its relation and right-hand side as written."""
     a = np.zeros(n)
     for c, var in row.terms:
         a[index[var]] += c
-    if row.relation == ">=":
-        return -a, "<=", -row.rhs
     return a, row.relation, row.rhs
 
 
@@ -478,20 +476,21 @@ def normalized_row(row, index, n):
 def test_array_form_agrees_with_the_named_rows(case):
     system, s = case
     x = np.array([s[v] for v in system.variables], dtype=float)
-    holds = all(row.holds(s) for row in system.constraints)
-    assert satisfies(system, s) is holds
-    assert satisfies(system, x) is holds
+    ok = all(holds(row, s) for row in system.constraints)
+    assert satisfies(system, s) is ok
+    assert satisfies(system, x) is ok
     # priced term by term, left to right, bit for bit
     theta = sum(s[v] * system.psi_true[v] + (1 - s[v]) * system.psi_false[v]
                 for v in system.variables)
     assert objective(system, s) == objective(system, x) == theta
-    p = sx.relax(system)
+    # the LP reads the system's own arrays: every row as written
+    A, rels, b = sx.relax(system).system.rows
     n = len(system.variables)
-    assert p.A.shape == (len(system.constraints), n)
+    assert A.shape == (len(system.constraints), n)
     for i, row in enumerate(system.constraints):
-        a, rel, rhs = normalized_row(row, system.index, n)
-        assert np.array_equal(p.A[i], a)
-        assert (p.rel[i], p.b[i]) == (rel, rhs)
+        a, rel, rhs = written_row(row, system.index, n)
+        assert np.array_equal(A[i], a)
+        assert (rels[i], b[i]) == (rel, rhs)
     with pytest.raises(DomainMismatch):
         satisfies(system, {**s, "ghost": 1})
     with pytest.raises(DomainMismatch):

@@ -29,6 +29,7 @@ from util import (
     all_01_points,
     assert_streams_match,
     group_stream,
+    holds,
     inst_key,
     solution_to_truth,
     strict_graph,
@@ -107,11 +108,11 @@ class TestExclusionCut:
         for _ in range(20):
             s = {x: rng.randint(0, 1) for x in names}
             cut = search.exclusion_cut(s, names)
-            assert not cut.holds(s)
+            assert not holds(cut, s)
             for _ in range(30):
                 other = {x: rng.randint(0, 1) for x in names}
                 if other != s:
-                    assert cut.holds(other)
+                    assert holds(cut, other)
 
 
 class TestCardinalCut:
@@ -146,9 +147,9 @@ class TestCardinalCut:
             enc, wd.propagate(tony, {"Tony-out", "Tony-in"}))
         disjoint = truth_to_solution(
             enc, wd.propagate(tony, {"Tony-in", "Tony-sleeping"}))
-        assert not cut.holds(s)
-        assert not cut.holds(superset)
-        assert cut.holds(disjoint)
+        assert not holds(cut, s)
+        assert not holds(cut, superset)
+        assert holds(cut, disjoint)
 
 
 # --- optimal solve ------------------------------------------------------------
@@ -423,7 +424,7 @@ def test_bound_audit_respects_subproblem_optimum(tony, monkeypatch):
         r = solve(p, warm=warm)
         costs = [objective(system, s) for s in points
                  if all(p.lower[j] <= s[x] <= p.upper[j]
-                        for j, x in enumerate(p.names))]
+                        for j, x in enumerate(p.system.variables))]
         if r.status == sx.OPTIMAL:
             assert not costs or r.objective <= min(costs) + 1e-9
         else:
@@ -566,7 +567,7 @@ def test_cardinal_delta_stays_above_the_certificate_tolerance(seed, scale):
     start that delta makes dual infeasible could pass as optimal."""
     w = scaled_graph(random_waodag(seed, 5, 8), scale)
     enc = encode_waodag(w)
-    _, _, opt_tol = sx.relax(constraints.perturb_costs(enc.system)).layout
+    opt_tol = sx.relax(constraints.perturb_costs(enc.system)).layout.opt_tol
     assert opt_tol <= constraints.default_delta(enc.system) / 5
     ranked = search.enumerate_cardinal(enc, search.ALL)
     assert_streams_match(cardinal_stream(ranked, enc),

@@ -10,6 +10,7 @@ import pytest
 
 from abduce import simplex as sx
 from abduce.constraints import (
+    ConstraintSystem,
     LinearConstraint,
     apply_evidence,
     encode_bayesnet,
@@ -31,40 +32,39 @@ def tony_lp(tony):
 
 class TestRelax:
     def test_tony_shape(self, tony_lp):
-        assert tony_lp.names == TONY_ORDER
-        assert tony_lp.A.shape == (7, 5)
-        assert list(tony_lp.c) == [5, 4, 8, 0, 0]
-        assert tony_lp.c0 == 0
+        assert tony_lp.system.variables == TONY_ORDER
+        assert tony_lp.system.rows[0].shape == (7, 5)
+        assert list(tony_lp.layout.c) == [5, 4, 8, 0, 0]
+        assert tony_lp.layout.c0 == 0
         assert all(tony_lp.lower == 0) and all(tony_lp.upper == 1)
 
     def test_equal_costs_become_constant(self):
-        from abduce.constraints import ConstraintSystem
         system = ConstraintSystem(("x",), (), {"x": 3.0}, {"x": 3.0})
         p = sx.relax(system)
-        assert p.c[0] == 0.0
-        assert p.c0 == 3.0
+        assert p.layout.c[0] == 0.0
+        assert p.layout.c0 == 3.0
+        assert sx.solve(p).objective == 3.0
 
     def test_bayes_relaxation_shape(self, fig):
-        from abduce.constraints import encode_bayesnet
         p = sx.relax(encode_bayesnet(fig).system)
-        assert len(p.names) == 18
-        assert p.A.shape == (21, 18)
-        assert p.c0 == 0.0
+        assert len(p.system.variables) == 18
+        assert p.system.rows[0].shape == (21, 18)
+        assert p.layout.c0 == 0.0
 
-    def test_ge_rows_normalized_to_le(self, tony_lp):
-        assert set(tony_lp.rel) <= {"<=", "="}
+    def test_rows_kept_as_written(self, tony):
+        system = encode_waodag(tony).system
+        p = sx.relax(system)
+        assert p.system is system
+        assert set(system.rows[1]) == {"<=", ">=", "="}
 
 
 # --- solve --------------------------------------------------------------------
 
 def tiny_problem(rows, n=1, c=None):
     names = tuple(f"x{j}" for j in range(n))
-    p = sx.LpProblem(names, np.zeros((0, n)), (), np.zeros(0),
-                     np.zeros(n), np.ones(n),
-                     np.array(c if c is not None else [1.0] * n), 0.0)
-    for row in rows:
-        p = sx.add_row(p, row)
-    return p
+    c = c if c is not None else [1.0] * n
+    return sx.relax(ConstraintSystem(names, tuple(rows), dict(zip(names, c)),
+                                     dict.fromkeys(names, 0.0)))
 
 
 class TestSolve:
@@ -72,15 +72,14 @@ class TestSolve:
         r = sx.solve(tony_lp)
         assert r.status == sx.OPTIMAL
         assert r.objective == pytest.approx(8, abs=1e-9)
-        assert r.x[tony_lp.index["Tony-out"]] == pytest.approx(1, abs=1e-7)
-        assert r.x[tony_lp.index["Tony-in"]] == pytest.approx(0, abs=1e-7)
+        index = tony_lp.system.index
+        assert r.x[index["Tony-out"]] == pytest.approx(1, abs=1e-7)
+        assert r.x[index["Tony-in"]] == pytest.approx(0, abs=1e-7)
 
     def test_empty_problem(self):
-        p = sx.LpProblem((), np.zeros((0, 0)), (), np.zeros(0),
-                         np.zeros(0), np.zeros(0), np.zeros(0), 4.5)
-        r = sx.solve(p)
+        r = sx.solve(sx.relax(ConstraintSystem((), (), {}, {})))
         assert r.status == sx.OPTIMAL
-        assert r.objective == 4.5
+        assert r.objective == 0.0
 
     def test_infeasible_bounds(self):
         p = tiny_problem([LinearConstraint(((1.0, "x0"),), ">=", 1.0),
@@ -96,10 +95,13 @@ class TestSolve:
 
     def test_certificate_feasible(self, tony_lp):
         r = sx.solve(tony_lp)
-        resid = tony_lp.A @ r.x - tony_lp.b
-        for i, rel in enumerate(tony_lp.rel):
+        A, rels, b = tony_lp.system.rows
+        resid = A @ r.x - b
+        for i, rel in enumerate(rels):
             if rel == "<=":
                 assert resid[i] <= 1e-7
+            elif rel == ">=":
+                assert resid[i] >= -1e-7
             else:
                 assert abs(resid[i]) <= 1e-7
         assert (r.x >= -1e-9).all() and (r.x <= 1 + 1e-9).all()
@@ -144,12 +146,14 @@ def count_inversions(monkeypatch):
 
 def basis_matrix(p, state):
     """The basis columns of ``[A | I]`` for ``state``."""
-    return np.hstack([p.A, np.eye(len(p.b))])[:, state.basis]
+    A = p.system.rows[0]
+    return np.hstack([A, np.eye(len(A))])[:, state.basis]
 
 
 def assert_carried_inverse(p, r):
     """``r.basis.binv`` inverts the basis matrix ``r`` ends on."""
-    err = r.basis.binv @ basis_matrix(p, r.basis) - np.eye(len(p.b))
+    B = basis_matrix(p, r.basis)
+    err = r.basis.binv @ B - np.eye(len(B))
     assert np.abs(err).max(initial=0.0) <= 1e-9
 
 
@@ -157,8 +161,9 @@ class TestResolveAfterCut:
     def test_tony_cut_drops_to_fractional_optimum(self, tony_lp):
         root = sx.solve(tony_lp)
         # exclude the integral optimum over the full variable set
-        s = {x: int(round(root.x[tony_lp.index[x]])) for x in tony_lp.names}
-        terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in tony_lp.names)
+        names = tony_lp.system.variables
+        s = {x: int(round(root.x[j])) for j, x in enumerate(names)}
+        terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in names)
         cut = LinearConstraint(terms, "<=", float(sum(s.values()) - 1))
         extended = sx.add_row(tony_lp, cut)
         warm = sx.solve(extended, warm=root.basis)
@@ -177,7 +182,7 @@ class TestResolveAfterCut:
 
     def test_conflicting_bound_children(self, tony_lp):
         root = sx.solve(tony_lp)
-        j = tony_lp.index["Tony-out"]
+        j = tony_lp.system.index["Tony-out"]
         up = sx.with_bounds(tony_lp, j, 1.0, 1.0)
         down = sx.with_bounds(tony_lp, j, 0.0, 0.0)
         r_up = sx.solve(up, warm=root.basis)
@@ -193,7 +198,7 @@ class TestResolveAfterCut:
     def test_children_leave_parent_inverse_alone(self, tony_lp):
         root = sx.solve(tony_lp)
         before = root.basis.binv.tobytes()
-        j = tony_lp.index["Tony-out"]
+        j = tony_lp.system.index["Tony-out"]
         children = [sx.solve(sx.with_bounds(tony_lp, j, v, v),
                              warm=root.basis) for v in (0.0, 1.0)]
         children.append(sx.solve(sx.add_row(tony_lp, LinearConstraint(
@@ -206,7 +211,8 @@ class TestResolveAfterCut:
         inversions = count_inversions(monkeypatch)
         cut = sx.add_row(tony_lp, LinearConstraint(
             ((1.0, "Tony-out"),), "<=", 0.0))
-        fixed = sx.with_bounds(tony_lp, tony_lp.index["Tony-in"], 1.0, 1.0)
+        fixed = sx.with_bounds(tony_lp, tony_lp.system.index["Tony-in"],
+                               1.0, 1.0)
         for p in (cut, fixed):
             r = sx.solve(p, warm=root.basis)
             assert r.basis.changes < sx.REFACTOR_EVERY
@@ -217,7 +223,7 @@ class TestResolveAfterCut:
         root = sx.solve(tony_lp)
         p = tony_lp
         for name in ("Tony-in", "Tony-sleeping", "Tony-out"):
-            p = sx.with_bounds(p, p.index[name], 0.0, 0.0)
+            p = sx.with_bounds(p, p.system.index[name], 0.0, 0.0)
         assert sx.solve(p, warm=root.basis).status == sx.INFEASIBLE
         assert sx.solve(p).status == sx.INFEASIBLE
 
@@ -242,9 +248,9 @@ def test_randomized_resolve_matches_scratch(seed):
         if parent.status != sx.OPTIMAL:
             break
         if rng.random() < 0.7:
-            p = sx.add_row(p, random_cut(rng, p.names))
+            p = sx.add_row(p, random_cut(rng, p.system.variables))
         else:
-            j = rng.randrange(len(p.names))
+            j = rng.randrange(len(p.system.variables))
             v = float(rng.randint(0, 1))
             p = sx.with_bounds(p, j, v, v)
         warm = sx.solve(p, warm=parent.basis)
@@ -273,13 +279,23 @@ def waodag_lp(seed):
     return sx.relax(encode_waodag(random_waodag(seed, 20, 60)).system)
 
 
+def with_costs(p, c):
+    """``p`` over a copy of its system whose cost gaps are ``c``."""
+    names = p.system.variables
+    system = dataclasses.replace(
+        p.system, psi_true=dict(zip(names, c.tolist())),
+        psi_false=dict.fromkeys(names, 0.0))
+    return dataclasses.replace(p, system=system)
+
+
 def mixed_lp(seed):
     """A relaxation with costs of both signs, so the slack start puts some
     variables at their upper bound (both encodings price every variable at
     0 or more)."""
     p = waodag_lp(seed) if seed % 2 else bayes_lp(seed)
-    sign = np.random.default_rng(seed).choice([-1.0, 1.0], size=len(p.c))
-    return dataclasses.replace(p, c=sign * p.c)
+    c = p.layout.c
+    return with_costs(p, np.random.default_rng(seed).choice([-1.0, 1.0],
+                                                            size=len(c)) * c)
 
 
 def dual_ends(monkeypatch):
@@ -322,18 +338,20 @@ def record_starts(monkeypatch):
 
 def assert_matches_highs(p, r, linprog):
     """Same status and objective as HiGHS; ``r.x`` meets every row."""
-    le = np.array([rel == "<=" for rel in p.rel], dtype=bool)
-    eq = ~le
-    ref = linprog(p.c, A_ub=p.A[le], b_ub=p.b[le], A_eq=p.A[eq],
-                  b_eq=p.b[eq], bounds=list(zip(p.lower, p.upper)),
-                  method="highs")
+    A, rel, b = p.system.rows
+    # HiGHS takes <= rows: a >= row goes in negated
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub, eq = rel != "=", rel == "="
+    ref = linprog(p.layout.c, A_ub=(A * sign[:, None])[ub],
+                  b_ub=(b * sign)[ub], A_eq=A[eq], b_eq=b[eq],
+                  bounds=list(zip(p.lower, p.upper)), method="highs")
     assert ref.status in (0, 2), ref.message
     assert r.status == (sx.OPTIMAL if ref.status == 0 else sx.INFEASIBLE)
     if r.status != sx.OPTIMAL:
         return
-    assert r.objective == pytest.approx(ref.fun + p.c0, abs=1e-7)
-    resid = p.A @ r.x - p.b
-    assert (resid[le] <= sx.FEAS_TOL).all()
+    assert r.objective == pytest.approx(ref.fun + p.layout.c0, abs=1e-7)
+    resid = sign * (A @ r.x - b)
+    assert (resid[ub] <= sx.FEAS_TOL).all()
     assert (np.abs(resid[eq]) <= sx.FEAS_TOL).all()
     assert (r.x >= p.lower - sx.FEAS_TOL).all()
     assert (r.x <= p.upper + sx.FEAS_TOL).all()
@@ -366,9 +384,9 @@ def warm_chain(p, parent, rng):
         if parent.status != sx.OPTIMAL:
             break
         if rng.random() < 0.7:
-            p = sx.add_row(p, random_cut(rng, p.names))
+            p = sx.add_row(p, random_cut(rng, p.system.variables))
         else:
-            j = rng.randrange(len(p.names))
+            j = rng.randrange(len(p.system.variables))
             v = float(rng.randint(0, 1))
             p = sx.with_bounds(p, j, v, v)
         parent = sx.solve(p, warm=parent.basis)
@@ -404,6 +422,85 @@ def test_warm_chain_crosses_the_refresh(monkeypatch, linprog):
     check_warm_chain(p, root, random.Random(7), linprog)
     assert len(inversions) >= 1
     assert (True, False) not in starts
+
+
+# --- rows as written ----------------------------------------------------------
+
+def normalised(row):
+    """``row`` with a ``>=`` negated into a ``<=``."""
+    if row.relation != ">=":
+        return row
+    return LinearConstraint(tuple((-c, x) for c, x in row.terms), "<=",
+                            -row.rhs)
+
+
+@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("seed", range(4))
+def test_ge_rows_solve_as_their_negated_le_rows(make, seed, monkeypatch):
+    """A ``>=`` row's slack, bounded to (-inf, 0], is the negated slack of
+    the same row written as ``<=``: every quantity the dual compares is equal
+    up to an exact sign flip, so the system and its normalised copy solve
+    pivot for pivot, along warm chains with cuts and bound changes."""
+    pivots = []
+    dual = sx._Worker.dual
+
+    def counted(worker):
+        status = dual(worker)
+        pivots.append(worker.pivots)
+        return status
+
+    def solve(p, warm):
+        before = len(pivots)
+        return sx.solve(p, warm=warm), pivots[before:]
+
+    monkeypatch.setattr(sx._Worker, "dual", counted)
+    p = make(seed)
+    q = dataclasses.replace(p, system=dataclasses.replace(
+        p.system, constraints=tuple(map(normalised, p.system.constraints))))
+    (r, r_pivots), (s, s_pivots) = solve(p, None), solve(q, None)
+    rng = random.Random(seed)
+    for _ in range(8):
+        assert r.status == s.status and r_pivots == s_pivots
+        if r.status != sx.OPTIMAL:
+            break
+        assert np.array_equal(r.basis.basis, s.basis.basis)
+        flip = np.concatenate([np.ones(len(r.x)),
+                               np.where(p.system.rows[1] == ">=", -1.0, 1.0)])
+        assert np.array_equal(r.basis.sgn, flip * s.basis.sgn)
+        assert r.x.tobytes() == s.x.tobytes() and r.objective == s.objective
+        if rng.random() < 0.7:
+            row = random_cut(rng, p.system.variables)
+            p, q = sx.add_row(p, row), sx.add_row(q, normalised(row))
+        else:
+            j = rng.randrange(len(r.x))
+            v = float(rng.randint(0, 1))
+            p, q = sx.with_bounds(p, j, v, v), sx.with_bounds(q, j, v, v)
+        (r, r_pivots), (s, s_pivots) = solve(p, r.basis), solve(q, s.basis)
+    assert sum(pivots) > 0
+
+
+def test_cold_start_passes_its_start_check(monkeypatch):
+    """A cold start is the warm path from the basis of zero rows: bordered to
+    the slack basis, with each column at the bound its cost sign picks, it
+    passes the warm start's dual-feasibility check by construction."""
+    checks = []
+    feasible, solve_from = sx._Worker._dual_feasible, sx._solve_from
+
+    def recorded(worker):
+        checks[-1].append(feasible(worker))
+        return checks[-1][-1]
+
+    def per_solve(p, warm):
+        checks.append([])
+        return solve_from(p, warm)
+
+    monkeypatch.setattr(sx._Worker, "_dual_feasible", recorded)
+    monkeypatch.setattr(sx, "_solve_from", per_solve)
+    for make in (bayes_lp, waodag_lp, mixed_lp):
+        for seed in COLD_SEEDS:
+            sx.solve(make(seed))
+    # one cold solve each: the start check, then the final certificate
+    assert checks == [[True, True]] * (3 * len(COLD_SEEDS))
 
 
 # --- state carried along the pivots -------------------------------------------
@@ -523,8 +620,8 @@ def test_values_evaluated_at_install_refresh_and_end(monkeypatch):
 
 
 class TestColumnLayout:
-    """The per-problem layout (slack bounds, structural | slack cost and the
-    optimality tolerance) is built once per row set and cost vector."""
+    """The per-problem layout (slack bounds by relation, structural | slack
+    cost and the optimality tolerance) is built once per system."""
 
     def test_bound_children_share_it(self, tony_lp):
         child = sx.with_bounds(tony_lp, 0, 1.0, 1.0)
@@ -534,16 +631,19 @@ class TestColumnLayout:
     def test_new_rows_get_their_own(self, tony_lp):
         cut = tony_cut(tony_lp)
         assert cut.layout is not tony_lp.layout
-        slack_up, cost, _ = cut.layout
-        assert list(slack_up) == [math.inf if r == "<=" else 0.0
-                                  for r in cut.rel]
-        assert np.array_equal(cost, np.concatenate([cut.c, np.zeros(8)]))
+        layout = cut.layout
+        bounds = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0),
+                  "=": (0.0, 0.0)}
+        assert list(zip(layout.slack_lo, layout.slack_up)) == [
+            bounds[r] for r in cut.system.rows[1]]
+        assert np.array_equal(layout.cost,
+                              np.concatenate([layout.c, np.zeros(8)]))
 
     def test_replace_drops_it(self, tony_lp):
         layout = tony_lp.layout
-        scaled = dataclasses.replace(tony_lp, c=1e8 * tony_lp.c)
+        scaled = with_costs(tony_lp, 1e8 * layout.c)
         assert scaled.layout is not layout
-        assert scaled.layout[2] == pytest.approx(
+        assert scaled.layout.opt_tol == pytest.approx(
             sx.OPT_TOL * (1.0 + 8e8))
 
 
@@ -649,6 +749,6 @@ def test_warm_start_under_flipped_costs_is_not_dual_feasible(tony_lp, linprog):
     the parent's optimal basis dual infeasible, so the warm start is refused
     before any pivot and the slack-basis solve answers."""
     root = sx.solve(tony_lp)
-    flipped = dataclasses.replace(tony_lp, c=-tony_lp.c)
+    flipped = with_costs(tony_lp, -tony_lp.layout.c)
     assert sx._solve_from(flipped, root.basis) is None
     assert_matches_highs(flipped, sx.solve(flipped, warm=root.basis), linprog)

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
-Brute-force enumeration of 0-1 points, tie-aware stream comparison,
-builders for the two worked example models used throughout the tests, and
-small model-level helpers the library itself does not need.
+Brute-force enumeration of 0-1 points, a term-by-term row check, tie-aware
+stream comparison, builders for the two worked example models used
+throughout the tests, and small model-level helpers the library itself does
+not need.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import numpy as np
 
 from abduce import bayes as bn
 from abduce import waodag as wd
-from abduce.constraints import ConstraintSystem, WaodagEncoding
+from abduce.constraints import (
+    FEASIBILITY_TOL,
+    ConstraintSystem,
+    LinearConstraint,
+    WaodagEncoding,
+)
 from abduce.errors import DomainMismatch
 
 
@@ -105,6 +111,17 @@ def all_01_points(system: ConstraintSystem,
             ok &= np.abs(lhs - row.rhs) <= tol
     return [{names[j]: int(bits[i, j]) for j in range(n)}
             for i in np.flatnonzero(ok)]
+
+
+def holds(row: LinearConstraint, s: Dict[str, float],
+          tol: float = FEASIBILITY_TOL) -> bool:
+    """Reference check of one named row at ``s``, term by term."""
+    lhs = sum(coeff * s[var] for coeff, var in row.terms)
+    if row.relation == "<=":
+        return lhs <= row.rhs + tol
+    if row.relation == ">=":
+        return lhs >= row.rhs - tol
+    return abs(lhs - row.rhs) <= tol
 
 
 def group_stream(pairs: Sequence[Tuple[object, float]],
