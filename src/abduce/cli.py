@@ -2,12 +2,13 @@
 
 Results are emitted as JSON lines, one per ranked solution, with numbers
 formatted to 17 significant digits so identical inputs give byte-identical
-output.  Exit codes: 0 success, 1 model or parse error, 2 solver limit.
+output.  Exit codes: 0 success, 1 model, parse or usage error, 2 solver
+limit.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -47,18 +48,34 @@ def emit(record: dict) -> None:
     click.echo(_jval(record))
 
 
-def cli_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except SolverLimit as exc:
-            click.echo(f"solver limit: {exc}", err=True)
-            sys.exit(2)
-        except (ModelError, OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-    return wrapper
+@contextlib.contextmanager
+def _exit_codes():
+    try:
+        yield
+    except click.UsageError as exc:  # BadParameter is one too
+        exc.exit_code = 1
+        raise
+    except SolverLimit as exc:
+        click.echo(f"solver limit: {exc}", err=True)
+        sys.exit(2)
+    except (ModelError, OSError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+
+
+class _Group(click.Group):
+    """A command group that maps each failure of its commands to the exit
+    codes of the module docstring, click's usage errors (exit 2 in click)
+    included.  The group parses its own arguments in ``make_context``, and
+    its command's in ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
 
 
 def _parse_k(value: str) -> object:
@@ -78,14 +95,13 @@ def _waodag_record(rank, assignment, cost, w: wd.Waodag) -> dict:
 
 # --- abduce -----------------------------------------------------------------
 
-@click.group()
+@click.group(cls=_Group)
 def abduce():
     """Cost-based abduction over weighted AND/OR DAG model files."""
 
 
 @abduce.command("solve")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@cli_errors
 def abduce_solve(model):
     w = model_io.parse_waodag_file(model)
     enc = encode_waodag(w, essential=True)
@@ -100,15 +116,12 @@ def abduce_solve(model):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["all", "cardinal"]), default="all")
 @click.option("--k", default="all", help="number of solutions, or 'all'")
-@click.option("--delta", type=float, default=None,
-              help="cardinal-mode perturbation size")
-@cli_errors
-def abduce_enumerate(model, mode, k, delta):
+def abduce_enumerate(model, mode, k):
     w = model_io.parse_waodag_file(model)
     enc = encode_waodag(w, essential=True)
     want = _parse_k(k)
     if mode == "cardinal":
-        ranked = search.enumerate_cardinal(enc, want, delta=delta)
+        ranked = search.enumerate_cardinal(enc, want)
     else:
         ranked = search.enumerate_best(enc.system, want)
     for r in ranked:
@@ -120,7 +133,6 @@ def abduce_enumerate(model, mode, k, delta):
 @click.option("--mode", type=click.Choice(["all", "cardinal"]), default="all")
 @click.option("--k", default="all")
 @click.option("--limit", type=int, default=20, help="hypothesis-count cap")
-@cli_errors
 def abduce_oracle(model, mode, k, limit):
     w = model_io.parse_waodag_file(model)
     enc = encode_waodag(w, essential=True)
@@ -140,7 +152,6 @@ def abduce_oracle(model, mode, k, limit):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @click.option("--essential/--no-essential", default=True,
               help="include the evidence equality rows")
-@cli_errors
 def abduce_encode(model, essential):
     w = model_io.parse_waodag_file(model)
     enc = encode_waodag(w, essential=essential)
@@ -149,22 +160,18 @@ def abduce_encode(model, essential):
 
 # --- mpe --------------------------------------------------------------------
 
-def _gather_evidence(b, evidence: Optional[str], evidence_file: Optional[str]):
+def _gather_evidence(evidence: Optional[str], evidence_file: Optional[str]):
+    """Merged evidence; ``apply_evidence`` checks its variables and values."""
     merged: bn.InstantiationSet = {}
     if evidence_file:
         with open(evidence_file, "r", encoding="utf-8") as fh:
             for var, val in json.load(fh).items():
                 merged[var] = str(val)
     if evidence:
-        for var, val in model_io.parse_evidence_spec(evidence, b).items():
+        for var, val in model_io.parse_evidence_spec(evidence).items():
             if var in merged and merged[var] != val:
                 raise ParseError(f"conflicting evidence for {var!r}")
             merged[var] = val
-    for var, val in merged.items():
-        if var not in b.ranges:
-            raise ParseError(f"evidence for unknown variable {var!r}")
-        if val not in b.ranges[var]:
-            raise ParseError(f"evidence value {var}={val} not in range")
     return merged
 
 
@@ -173,7 +180,7 @@ def _mpe_record(rank, r_assignment, cost, prob, inst) -> dict:
             "assignment": dict(r_assignment), "instantiation": dict(inst)}
 
 
-@click.group()
+@click.group(cls=_Group)
 def mpe():
     """Belief revision (k-best MPE) over Bayesian-network model files."""
 
@@ -192,10 +199,9 @@ def _mpe_model_options(f):
 @mpe.command("solve")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
-@cli_errors
 def mpe_solve(model, zero_prob, evidence, evidence_file):
     b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(b, evidence, evidence_file)
+    e = _gather_evidence(evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     ranked = search.enumerate_permissible(enc, 1)
     if not ranked:
@@ -209,10 +215,9 @@ def mpe_solve(model, zero_prob, evidence, evidence_file):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 @click.option("--k", default="all")
-@cli_errors
 def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
     b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(b, evidence, evidence_file)
+    e = _gather_evidence(evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     ranked = search.enumerate_permissible(enc, _parse_k(k))
     for r in ranked:
@@ -224,10 +229,9 @@ def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 @click.option("--k", default="all")
-@cli_errors
 def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
     b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(b, evidence, evidence_file)
+    e = _gather_evidence(evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     want = _parse_k(k)
     rank = 0
@@ -242,17 +246,16 @@ def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
 @mpe.command("encode")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
-@cli_errors
 def mpe_encode(model, zero_prob, evidence, evidence_file):
     b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(b, evidence, evidence_file)
+    e = _gather_evidence(evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     click.echo(dump(enc.system))
 
 
 # --- gen --------------------------------------------------------------------
 
-@click.group()
+@click.group(cls=_Group)
 def gen():
     """Seeded random model instances, printed as model JSON."""
 
@@ -263,7 +266,6 @@ def gen():
 @click.option("--internal", type=int, default=7)
 @click.option("--max-cost", type=int, default=10)
 @click.option("--strict", is_flag=True, default=False)
-@cli_errors
 def gen_waodag(seed, hypotheses, internal, max_cost, strict):
     w = generate.random_waodag(seed, hypotheses, internal, max_cost, strict)
     click.echo(_jval(model_io.waodag_to_doc(w)))
@@ -276,7 +278,6 @@ def gen_waodag(seed, hypotheses, internal, max_cost, strict):
 @click.option("--max-parents", type=int, default=2)
 @click.option("--allow-extreme", is_flag=True, default=False,
               help="let CPT entries approach 0 and 1")
-@cli_errors
 def gen_bn(seed, variables, max_range, max_parents, allow_extreme):
     b = generate.random_bayesnet(seed, variables, max_range, max_parents,
                                  margin=0.0 if allow_extreme else 0.05)

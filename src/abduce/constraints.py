@@ -5,7 +5,7 @@ determining scope: the variables whose 0-1 values fix all the others.  The
 encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
 each system also holds them once as arrays in variable order (``rows``, each
 relation kept as written, and ``costs``), which ``satisfies``, ``objective``
-and the LP relaxation read and ``extended`` and ``perturb_costs`` carry on.
+and the LP relaxation read and ``extended`` carries on.
 WAODAG graphs encode with one variable per node and the four AND/OR row
 shapes plus optional evidence equalities; the hypotheses determine every
 other node.
@@ -14,8 +14,6 @@ and one conditional variable per CPT entry; the indicators determine the
 conditionals, and conditional true-costs are negative natural logs of the
 entries.  These rows alone make every 0-1 point permissible: the indicators
 fix each conditional to whether its head and configuration are active.
-``perturb_costs`` raises zero cost gaps by a small delta, which cardinal
-search needs on a tied monotonic graph; reported costs stay the system's own.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from . import waodag as wd
 from .errors import (
     DomainMismatch,
     IncompleteInstantiation,
-    NonPositiveDelta,
     NotASolution,
     UnknownVariable,
     ValueOutOfRange,
@@ -90,7 +87,7 @@ class ConstraintSystem:
         return self.determining or self.variables
 
     # Array forms, built once per system on first use and handed on by
-    # ``extended`` and ``perturb_costs``; ``dataclasses.replace`` drops them.
+    # ``extended``; ``dataclasses.replace`` drops them.
     @cached_property
     def index(self) -> Dict[str, int]:
         return {x: j for j, x in enumerate(self.variables)}
@@ -275,11 +272,12 @@ def apply_evidence(enc: BayesEncoding, e: bn.InstantiationSet) -> BayesEncoding:
             continue
         val = e[var]
         if val not in enc.network.ranges[var]:
-            raise ValueOutOfRange(f"{var}={val}")
+            raise ValueOutOfRange(f"evidence value {var}={val} not in range")
         rows.append(LinearConstraint(((1.0, indicator_name(var, val)),), EQ, 1.0))
-    unknown = set(e) - set(enc.network.variables)
+    unknown = sorted(set(e) - set(enc.network.variables))
     if unknown:
-        raise UnknownVariable(repr(sorted(unknown)))
+        raise UnknownVariable(
+            f"evidence for unknown variable {', '.join(map(repr, unknown))}")
     return replace(enc, system=enc.system.extended(rows))
 
 
@@ -317,28 +315,3 @@ def instantiation_to_solution(enc: BayesEncoding,
              for name, info in enc.conditionals.items())
     return s
 
-
-def default_delta(system: ConstraintSystem) -> float:
-    """1e-9 scaled by the largest cost magnitude in the system."""
-    return 1e-9 * (1.0 + float(np.abs(system.costs).max(initial=0.0)))
-
-
-def perturb_costs(system: ConstraintSystem,
-                  delta: Optional[float] = None) -> ConstraintSystem:
-    """Raise each non-positive cost gap psi_true - psi_false to exactly
-    ``delta`` (``default_delta`` when None).
-
-    Breaks zero gaps for the search: on a monotonic graph it makes every
-    optimum cardinal.
-    """
-    if delta is None:
-        delta = default_delta(system)
-    if delta <= 0:
-        raise NonPositiveDelta(repr(delta))
-    psi_true = dict(system.psi_true)
-    for x in system.variables:
-        if psi_true[x] <= system.psi_false[x]:
-            psi_true[x] = system.psi_false[x] + delta
-    out = replace(system, psi_true=psi_true)
-    vars(out).update(index=system.index, rows=system.rows)  # same rows
-    return out

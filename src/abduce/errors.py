@@ -49,10 +49,6 @@ class OracleTooLarge(ModelError):
     pass
 
 
-class NonPositiveDelta(ModelError):
-    pass
-
-
 # --- Bayesian network -------------------------------------------------------
 
 class CyclicNetwork(ModelError):

@@ -151,7 +151,7 @@ def bayesnet_to_doc(b: bn.BayesianNetwork) -> dict:
     }
 
 
-def parse_evidence_spec(spec: str, b: bn.BayesianNetwork) -> bn.InstantiationSet:
+def parse_evidence_spec(spec: str) -> bn.InstantiationSet:
     """Comma-separated Var=value pairs."""
     out: bn.InstantiationSet = {}
     for chunk in spec.split(","):

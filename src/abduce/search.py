@@ -13,8 +13,9 @@ every branching choice ranges over the system's determining scope
 indicators of a Bayesian encoding, all variables of a hand-built system.
 Because the scope fixes every other variable, an exclusion cut over it
 removes exactly one 0-1 point.  The three modes differ only in the cut shape
-and in how a solution is reported.  Only cardinal mode on a tied monotonic
-graph searches perturbed costs; the others search the system as it is.
+and in how a solution is reported, and all three search the encoding as it
+is: cardinal mode shrinks each optimum to a cardinal one of the same cost
+before it reports and cuts it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .constraints import (
     WaodagEncoding,
     is_permissible,
     objective,
-    perturb_costs,
     satisfies,
     solution_to_instantiation,
+    truth_to_solution,
 )
 from .errors import (
     EmptyBaseSet,
@@ -149,9 +150,10 @@ def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
 
 def _cut_loop(system: ConstraintSystem, k, cut, finish):
     """Shared enumeration loop: solve, emit, cut over the scope, re-solve
-    warm.  ``cut(s, scope)`` builds the row; ``finish(rank, s, cost)``
-    reports, where ``cost`` is the point's cost under the searched system
-    (cut rows carry no cost, so every extension prices points alike)."""
+    warm.  ``finish(rank, s, cost)`` reports, where ``cost`` is the point's
+    cost under the searched system (cut rows carry no cost, so every
+    extension prices points alike); ``cut(s, scope)`` builds the row from
+    the reported assignment, which only cardinal mode changes."""
     p, warm = sx.relax(system), None
     out: List[RankedSolution] = []
     want = math.inf if k == ALL else int(k)
@@ -163,7 +165,7 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
         if len(out) == want:
             break
         try:
-            row = cut(s, system.scope)
+            row = cut(out[-1].assignment, system.scope)
         except EmptyBaseSet:
             break
         p, warm = sx.add_row(p, row), root.basis
@@ -181,25 +183,43 @@ def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
     return _cut_loop(system, k, exclusion_cut, RankedSolution)
 
 
-def enumerate_cardinal(enc: WaodagEncoding, k,
-                       delta: Optional[float] = None) -> List[RankedSolution]:
+def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
     """The k best cardinal solutions; needs a monotonic graph.
 
-    On a MONOTONIC graph the search runs on ``perturb_costs``, which raises
-    each zero cost gap to ``delta`` and so makes every optimum cardinal; a
-    STRICT graph is searched as it is.  Reported costs are always the
-    encoding's own.
+    The search runs on the encoding as it is.  On a monotonic graph every
+    cost gap is at least zero and dropping a hypothesis can only turn nodes
+    false, so an optimum whose base set is not minimal shrinks to a cardinal
+    point of the same cost.  Only zero-gap hypotheses can be unneeded in an
+    optimum, so ``finish`` tries those, once each in scope order, and the
+    shrunk point is reported and cut.  It is an optimum too: it costs no
+    more, and an earlier cut that excluded it would exclude the optimum,
+    whose base set contains its own.
     """
-    cls = wd.monotonicity_class(enc.waodag)
+    w = enc.waodag
+    cls = wd.monotonicity_class(w)
     if cls is wd.Monotonicity.UNKNOWN:
         raise NotStrictlyMonotonic(
             f"monotonicity class is {cls.value}; cannot run cardinal cuts")
     system = enc.system
-    if cls is wd.Monotonicity.MONOTONIC:
-        system = perturb_costs(system, delta)
+    free = [h for h in system.scope
+            if system.psi_true[h] == system.psi_false[h]]
 
-    def finish(rank, s, _):
-        return RankedSolution(rank, s, objective(enc.system, s))
+    def finish(rank, s, cost):
+        base = {h for h in system.scope if s[h]}
+        size = len(base)
+        for h in free:
+            if h in base:
+                e = wd.propagate(w, base - {h})
+                if all(e[q] for q in w.evidence):
+                    base.remove(h)
+        if len(base) < size:
+            shrunk = truth_to_solution(enc, wd.propagate(w, base))
+            price = objective(system, shrunk)
+            if price > cost + 1e-9 * (1.0 + abs(cost)):
+                raise InvariantViolation(
+                    f"shrunk point costs {price} > optimum {cost}")
+            s, cost = shrunk, price
+        return RankedSolution(rank, s, cost)
 
     return _cut_loop(system, k, cardinal_cut, finish)
 

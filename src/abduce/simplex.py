@@ -63,8 +63,8 @@ from .constraints import GE, LE, ConstraintSystem, LinearConstraint
 from .errors import IterationLimit, LostDualFeasibility
 
 FEAS_TOL = 1e-7
-# relative: the certificate's tolerance is OPT_TOL * (1 + max|c|), at most a
-# fifth of cardinal mode's delta 1e-9 * (1 + max|psi|) at every cost scale
+# relative: the certificate's tolerance is OPT_TOL * (1 + max|c|), since
+# reduced costs round in proportion to the costs
 OPT_TOL = 1e-10
 PIVOT_TOL = 1e-10
 RATIO_TIE_TOL = 1e-9

@@ -110,13 +110,12 @@ class TestParseBayesnet:
 
 
 def test_evidence_spec_parsing():
-    b = model_io.parse_bayesnet_file(FIG)
-    assert model_io.parse_evidence_spec("C=true, A=false", b) == \
+    assert model_io.parse_evidence_spec("C=true, A=false") == \
         {"C": "true", "A": "false"}
     with pytest.raises(ParseError):
-        model_io.parse_evidence_spec("C", b)
+        model_io.parse_evidence_spec("C")
     with pytest.raises(ParseError):
-        model_io.parse_evidence_spec("C=true,C=false", b)
+        model_io.parse_evidence_spec("C=true,C=false")
 
 
 # --- abduce commands ----------------------------------------------------------
@@ -301,6 +300,33 @@ class TestExitCodes:
     def test_bad_k_is_exit_1(self, runner):
         result = runner.invoke(abduce_cli, ["enumerate", TONY, "--k", "0"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("cli, args, message", [
+        (abduce_cli, ["solve", "/nonexistent.json"], "does not exist"),
+        (abduce_cli, ["enumerate", TONY, "--mode", "bogus"], "'bogus'"),
+        (abduce_cli, ["enumerate", TONY, "--mode", "cardinal",
+                      "--delta", "0.1"], "No such option"),
+        (abduce_cli, ["bogus"], "No such command"),
+        (mpe_cli, ["solve", FIG, "--zero-prob", "x"], "'x'"),
+        (gen_cli, ["waodag"], "Missing option"),
+    ], ids=["missing-file", "bad-choice", "removed-option", "bad-command",
+            "bad-mpe-choice", "missing-gen-option"])
+    def test_usage_error_is_exit_1(self, runner, cli, args, message):
+        # exit 2 means a solver limit, so click's usage errors exit 1
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("evidence, message", [
+        ("Ghost=true", "unknown variable 'Ghost'"),
+        ("C=maybe", "C=maybe not in range"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_bad_evidence_is_exit_1(self, runner, command, evidence,
+                                    message):
+        result = runner.invoke(mpe_cli, [command, FIG, "--evidence", evidence])
+        assert result.exit_code == 1
+        assert message in result.stderr
 
     def test_solver_limit_is_exit_2(self, runner, monkeypatch):
         def boom(*args, **kwargs):

@@ -15,7 +15,6 @@ from abduce.constraints import (
     ConstraintSystem,
     LinearConstraint,
     apply_evidence,
-    default_delta,
     dump,
     encode_bayesnet,
     encode_waodag,
@@ -23,7 +22,6 @@ from abduce.constraints import (
     instantiation_to_solution,
     is_permissible,
     objective,
-    perturb_costs,
     satisfies,
     solution_to_instantiation,
     truth_to_solution,
@@ -38,7 +36,7 @@ from abduce.errors import (
 )
 from abduce.generate import random_bayesnet, random_waodag
 
-from util import all_01_points, holds, solution_to_truth, strict_graph
+from util import all_01_points, holds, solution_to_truth
 
 T, F = "true", "false"
 
@@ -283,63 +281,6 @@ class TestInstantiationConversions:
         s["A=false"] = 1  # both A indicators up
         with pytest.raises(NotASolution):
             solution_to_instantiation(enc, s)
-
-
-def zero_gap_tony(tony):
-    """Tony plus a free extra cause of the evidence: a zero-gap hypothesis."""
-    return wd.Waodag.build(
-        tony.nodes + ("Tony-awake",),
-        tony.edges + (("Tony-awake", "phone-noanswer"),),
-        tony.label, tony.cost_true, tony.cost_false, tony.evidence)
-
-
-class TestPerturbCosts:
-    def test_only_true_costs_move(self, tony):
-        system = encode_waodag(tony).system
-        before = dict(system.psi_true)
-        out = perturb_costs(system, 0.25)
-        assert out.psi_true["phone-noanswer"] == 0.25
-        assert out.psi_true["Tony-out"] == 8.0
-        assert out.psi_false == system.psi_false
-        assert out.constraints == system.constraints
-        assert out.determining == system.determining
-        assert system.psi_true == before
-
-    def test_gap_set_to_exactly_delta_over_false_cost(self):
-        system = ConstraintSystem(
-            ("a", "b", "c"), (), {"a": 1.0, "b": 0.5, "c": 3.0},
-            {"a": 2.0, "b": 0.5, "c": 1.0})
-        out = perturb_costs(system, 0.125)
-        assert out.psi_true == {"a": 2.125, "b": 0.625, "c": 3.0}
-
-    def test_default_delta_used_when_none_given(self, tony):
-        system = encode_waodag(tony).system
-        assert perturb_costs(system) == perturb_costs(
-            system, default_delta(system))
-
-    def test_default_delta_scales_with_costs(self, fig):
-        enc = encode_bayesnet(fig)
-        biggest = max(enc.system.psi_true.values())
-        assert default_delta(enc.system) == pytest.approx(
-            1e-9 * (1 + biggest))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_encoding_of_raised_graph(self, seed):
-        w = random_waodag(seed, 20, 60)
-        system = encode_waodag(w).system
-        d = default_delta(system)
-        assert perturb_costs(system, d) == \
-            encode_waodag(strict_graph(w, d)).system
-
-    @pytest.mark.parametrize("build", [lambda t: t, zero_gap_tony],
-                             ids=["tony", "tony-awake"])
-    @pytest.mark.parametrize("essential", [True, False])
-    def test_matches_encoding_of_raised_tony(self, tony, build, essential):
-        w = build(tony)
-        for d in (1e-6, 0.5):
-            system = encode_waodag(w, essential).system
-            assert perturb_costs(system, d) == \
-                encode_waodag(strict_graph(w, d), essential).system
 
 
 # --- exhaustive encoder invariants at oracle scale ------------------------------

@@ -1,5 +1,7 @@
 """Branch and bound, exclusion/cardinal cuts, and the three enumeration modes."""
 
+import random
+
 import pytest
 
 from abduce import bayes as bn
@@ -264,6 +266,28 @@ def oracle_cardinal_stream(w):
     return out
 
 
+def free_hypotheses(w, seed):
+    """``w`` with about two in five hypotheses, drawn from ``seed``, made
+    to cost nothing."""
+    rng = random.Random(seed)
+    cost_true = {q: 0.0 if q in w.hypotheses and rng.random() < 0.4 else c
+                 for q, c in w.cost_true.items()}
+    return wd.Waodag.build(w.nodes, w.edges, w.label, cost_true, w.cost_false,
+                           w.evidence)
+
+
+def free_rider_graph():
+    """Evidence e = a AND (z OR a) AND (z OR (z OR a)), a costs 1 and z
+    nothing: the only cardinal explanation is {a}, and branch and bound's
+    optimum is {a, z}."""
+    return wd.Waodag.build(
+        ["a", "z", "n0", "n1", "e"],
+        [("z", "n0"), ("a", "n0"), ("z", "n1"), ("n0", "n1"),
+         ("n0", "e"), ("a", "e"), ("n1", "e")],
+        {"n0": wd.OR, "n1": wd.OR, "e": wd.AND}, {"a": 1.0},
+        evidence=["e"])
+
+
 def cardinal_stream(ranked, enc):
     out = []
     for r in ranked:
@@ -283,8 +307,10 @@ class TestEnumerateCardinal:
 
     def test_costs_are_original_not_perturbed(self, tony):
         enc = encode_waodag(tony)
-        for r in search.enumerate_cardinal(enc, search.ALL, delta=0.125):
-            assert r.cost == int(r.cost)
+        ranked = search.enumerate_cardinal(enc, search.ALL)
+        assert len(ranked) == 2
+        for r in ranked:
+            assert r.cost == objective(enc.system, r.assignment)
 
     def test_searches_without_encoding_again(self, tony, monkeypatch):
         calls = []
@@ -327,6 +353,41 @@ class TestEnumerateCardinal:
         got = cardinal_stream(ranked, encode_waodag(w))
         assert got[0] == (frozenset({"Tony-awake"}), 0)
         assert_streams_match(got, oracle_cardinal_stream(w), 1e-6)
+
+    def test_shrinks_a_free_hypothesis_out_of_the_optimum(self, monkeypatch):
+        """Branch and bound's optimum here holds the free ``z``, which no
+        evidence needs: the reported point drops it and is priced again."""
+        w = free_rider_graph()
+        enc = encode_waodag(w)
+        points = []
+        branch_and_bound = search._branch_and_bound
+
+        def spied(p, warm):
+            found = branch_and_bound(p, warm)
+            points.append(found[0])
+            return found
+
+        monkeypatch.setattr(search, "_branch_and_bound", spied)
+        prices = _count_calls(monkeypatch, "objective", objective)
+        ranked = search.enumerate_cardinal(enc, search.ALL)
+        assert points[0]["z"] == 1
+        assert cardinal_stream(ranked, enc) == [(frozenset({"a"}), 1.0)]
+        assert ranked[0].cost == objective(enc.system, ranked[0].assignment)
+        assert len(prices) == 2  # branch and bound's, then the shrunk point's
+        assert wd.is_cardinal(w, solution_to_truth(enc, ranked[0].assignment))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zero_cost_hypotheses(self, seed):
+        """Free hypotheses make ties that branch and bound may resolve to a
+        point that is not cardinal; every reported point is cardinal and the
+        stream is the oracle's."""
+        w = free_hypotheses(random_waodag(seed, 8, 25), seed)
+        enc = encode_waodag(w)
+        ranked = search.enumerate_cardinal(enc, search.ALL)
+        assert_streams_match(cardinal_stream(ranked, enc),
+                             oracle_cardinal_stream(w), 1e-6)
+        for r in ranked:
+            assert wd.is_cardinal(w, solution_to_truth(enc, r.assignment))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_oracle_and_antichain(self, seed):
@@ -480,17 +541,16 @@ def _count_calls(monkeypatch, name, fn):
 ])
 def test_one_point_check_per_rank(mode, instance, monkeypatch):
     """Branch and bound checks and prices one point per emitted rank: the
-    first integral node it pops, which is the optimum.  Every mode but
-    cardinal reports that price, since cut rows carry no cost; cardinal mode
-    searches perturbed costs, so it prices each point once more on the
-    original system."""
+    first integral node it pops, which is the optimum.  Every mode searches
+    the encoding as it is and cut rows carry no cost, so every mode reports
+    that price.  Cardinal mode prices a point again only when it shrinks it,
+    which needs a free hypothesis; these instances have none."""
     checks = _count_calls(monkeypatch, "satisfies", satisfies)
     prices = _count_calls(monkeypatch, "objective", objective)
     ranked = _rank_stream(mode, instance)
     assert ranked[0] is not None
     assert len(checks) == len(ranked)
-    per_rank = 2 if mode == "cardinal" else 1
-    assert len(prices) == per_rank * len(ranked)
+    assert len(prices) == len(ranked)
 
 
 def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
@@ -561,14 +621,12 @@ def test_certificate_tolerance_scales_with_cost(seed, scale):
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
 @pytest.mark.parametrize("seed", range(4))
-def test_cardinal_delta_stays_above_the_certificate_tolerance(seed, scale):
-    """Cardinal mode raises zero cost gaps to delta; the certificate's
-    tolerance must stay well below delta at every cost scale, or a warm
-    start that delta makes dual infeasible could pass as optimal."""
+def test_cardinal_stream_at_every_cost_scale(seed, scale):
+    """Tied graphs scaled far down and far up give the oracle's cardinal
+    stream, scaled: the searched costs are the encoding's own at every
+    scale."""
     w = scaled_graph(random_waodag(seed, 5, 8), scale)
     enc = encode_waodag(w)
-    opt_tol = sx.relax(constraints.perturb_costs(enc.system)).layout.opt_tol
-    assert opt_tol <= constraints.default_delta(enc.system) / 5
     ranked = search.enumerate_cardinal(enc, search.ALL)
     assert_streams_match(cardinal_stream(ranked, enc),
                          oracle_cardinal_stream(w), 1e-6 * scale)
@@ -579,6 +637,15 @@ def test_integral_point_check_fires(tony, monkeypatch):
     monkeypatch.setattr(search, "satisfies", lambda system, s, tol: False)
     with pytest.raises(InvariantViolation, match="violates the system"):
         search.solve_optimal(encode_waodag(tony).system)
+
+
+def test_shrunk_point_check_fires(monkeypatch):
+    # a shrunk point priced above the optimum it came from raises
+    w = free_rider_graph()
+    monkeypatch.setattr(search, "objective", lambda system, s: (
+        objective(system, s) + (1.0 if isinstance(s, dict) else 0.0)))
+    with pytest.raises(InvariantViolation, match="shrunk point"):
+        search.enumerate_cardinal(encode_waodag(w), search.ALL)
 
 
 def test_permissibility_check_fires(fig, monkeypatch):

@@ -45,9 +45,9 @@ def tony_graph() -> wd.Waodag:
 
 
 def strict_graph(w: wd.Waodag, delta: float) -> wd.Waodag:
-    """``w`` with each non-positive cost gap raised to exactly ``delta``,
-    built on the graph itself (the library raises gaps on the encoded
-    system, ``abduce.constraints.perturb_costs``)."""
+    """``w`` with each non-positive cost gap raised to exactly ``delta``:
+    a STRICT graph with the same cardinal explanations, for tests that need
+    every explanation's cost to rise with its base set."""
     cost_true = {n: w.cost_false[n] + delta
                  if w.cost_true[n] <= w.cost_false[n] else w.cost_true[n]
                  for n in w.nodes}
