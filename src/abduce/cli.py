@@ -9,6 +9,7 @@ limit.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import sys
 from typing import Optional
@@ -87,6 +88,12 @@ def _parse_k(value: str) -> object:
     return k
 
 
+def _ranked(items, want):
+    """(rank, item) for the first ``want`` items, ranks from 1."""
+    stop = None if want is search.ALL else want
+    return enumerate(itertools.islice(items, stop), start=1)
+
+
 def _waodag_record(rank, assignment, cost, w: wd.Waodag) -> dict:
     hyps = sorted(q for q in w.hypotheses if assignment[q])
     return {"rank": rank, "cost": cost, "assignment": dict(assignment),
@@ -140,11 +147,7 @@ def abduce_oracle(model, mode, k, limit):
     listed = wd.enumerate_explanations_oracle(w, limit=limit)
     if mode == "cardinal":
         listed = [(e, c) for e, c in listed if wd.is_cardinal(w, e)]
-    rank = 0
-    for e, c in listed:
-        if want is not search.ALL and rank >= want:
-            break
-        rank += 1
+    for rank, (e, c) in _ranked(listed, want):
         emit(_waodag_record(rank, truth_to_solution(enc, e), c, w))
 
 
@@ -234,11 +237,7 @@ def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
     e = _gather_evidence(evidence, evidence_file)
     enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
     want = _parse_k(k)
-    rank = 0
-    for w, p in bn.enumerate_mpe_oracle(b, e):
-        if want is not search.ALL and rank >= want:
-            break
-        rank += 1
+    for rank, (w, p) in _ranked(bn.enumerate_mpe_oracle(b, e), want):
         s = instantiation_to_solution(enc, w)
         emit(_mpe_record(rank, s, objective(enc.system, s), p, w))
 

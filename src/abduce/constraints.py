@@ -36,7 +36,8 @@ from .errors import (
     ZeroProbabilityRejected,
 )
 
-FEASIBILITY_TOL = 1e-9
+# any value below 1 gives the same verdict on a 0-1 point of integer rows
+FEASIBILITY_TOL = 1e-6
 # CPT entries below this are clamped to it, or rejected (see encode_bayesnet)
 PROB_FLOOR = 1e-12
 
@@ -130,11 +131,12 @@ def objective(system: ConstraintSystem, s: Point) -> float:
     return sum((x * psi_true + (1 - x) * psi_false).tolist())
 
 
-def satisfies(system: ConstraintSystem, s: Point,
-              tol: float = FEASIBILITY_TOL) -> bool:
-    """Every row holds at ``s`` to within ``tol``: ``lhs <= rhs + tol``,
-    ``lhs >= rhs - tol`` or ``|lhs - rhs| <= tol`` by its relation."""
+def satisfies(system: ConstraintSystem, s: Point) -> bool:
+    """Every row holds at ``s`` to within ``tol = FEASIBILITY_TOL``:
+    ``lhs <= rhs + tol``, ``lhs >= rhs - tol`` or ``|lhs - rhs| <= tol`` by
+    its relation."""
     A, rel, b = system.rows
+    tol = FEASIBILITY_TOL
     lhs = A @ _point(system, s)
     ok = np.where(rel == LE, lhs <= b + tol,
                   np.where(rel == GE, lhs >= b - tol, np.abs(lhs - b) <= tol))

@@ -90,16 +90,8 @@ class NotASolution(ModelError):
 
 # --- solver -----------------------------------------------------------------
 
-class EmptyScope(ModelError):
-    pass
-
-
-class EmptyBaseSet(ModelError):
-    pass
-
-
-class NotStrictlyMonotonic(ModelError):
-    pass
+class NotMonotonic(ModelError):
+    """Some node's cost gap ``cost_true - cost_false`` is negative."""
 
 
 class IterationLimit(SolverLimit):

@@ -12,10 +12,11 @@ every branching choice ranges over the system's determining scope
 (``ConstraintSystem.scope``): the hypotheses of a graph encoding, the
 indicators of a Bayesian encoding, all variables of a hand-built system.
 Because the scope fixes every other variable, an exclusion cut over it
-removes exactly one 0-1 point.  The three modes differ only in the cut shape
-and in how a solution is reported, and all three search the encoding as it
-is: cardinal mode shrinks each optimum to a cardinal one of the same cost
-before it reports and cuts it.
+removes exactly one 0-1 point; over an empty scope it is ``0 <= -1``, whose
+LP is infeasible, so the stream ends where no alternative is left.  The three
+modes differ only in the cut shape and in how a solution is reported, and
+all three search the encoding as it is: cardinal mode shrinks each optimum
+to a cardinal one of the same cost before it reports and cuts it.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ from .constraints import (
     solution_to_instantiation,
     truth_to_solution,
 )
-from .errors import (
-    EmptyBaseSet,
-    EmptyScope,
-    InvariantViolation,
-    NodeLimitExceeded,
-    NotStrictlyMonotonic,
-)
+from .errors import InvariantViolation, NodeLimitExceeded, NotMonotonic
 
 ALL = "all"
 INT_TOL = 1e-7
@@ -67,21 +62,18 @@ class RankedSolution:
 
 
 def exclusion_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
-    """Row excluding exactly the pattern of ``s`` over ``scope``."""
-    scope = tuple(scope)
-    if not scope:
-        raise EmptyScope("exclusion cut over an empty scope")
+    """Row excluding exactly the pattern of ``s`` over ``scope``; over an
+    empty scope it is ``0 <= -1``, which excludes everything."""
     terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in scope)
-    zeros = sum(1 for x in scope if not s[x])
-    return LinearConstraint(terms, LE, float(len(scope) - 1 - zeros))
+    ones = sum(1 for x in scope if s[x])
+    return LinearConstraint(terms, LE, float(ones - 1))
 
 
 def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
     """Row excluding every solution whose true ``scope`` variables include
-    those of ``s``: with hypotheses as the scope, every superset of H(s)."""
+    those of ``s``: with hypotheses as the scope, every superset of H(s).
+    With none true it is ``0 <= -1``, since every solution includes them."""
     on = [x for x in scope if s[x]]
-    if not on:
-        raise EmptyBaseSet("solution assumes no hypotheses")
     return LinearConstraint(tuple((1.0, x) for x in on), LE,
                             float(len(on) - 1))
 
@@ -131,7 +123,7 @@ def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
             if bound > cost01 + 1e-9 * (1.0 + abs(cost01)):
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
-            if not satisfies(system, point, tol=1e-6):
+            if not satisfies(system, point):
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
             return (dict(zip(system.variables, point.astype(int).tolist())),
@@ -164,11 +156,8 @@ def _cut_loop(system: ConstraintSystem, k, cut, finish):
         out.append(finish(len(out) + 1, s, cost01))
         if len(out) == want:
             break
-        try:
-            row = cut(out[-1].assignment, system.scope)
-        except EmptyBaseSet:
-            break
-        p, warm = sx.add_row(p, row), root.basis
+        p = sx.add_row(p, cut(out[-1].assignment, system.scope))
+        warm = root.basis
     return out
 
 
@@ -196,10 +185,9 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
     whose base set contains its own.
     """
     w = enc.waodag
-    cls = wd.monotonicity_class(w)
-    if cls is wd.Monotonicity.UNKNOWN:
-        raise NotStrictlyMonotonic(
-            f"monotonicity class is {cls.value}; cannot run cardinal cuts")
+    if not wd.is_monotonic(w):
+        raise NotMonotonic("a cost gap is negative; cardinal mode needs "
+                           "cost_true >= cost_false at every node")
     system = enc.system
     free = [h for h in system.scope
             if system.psi_true[h] == system.psi_false[h]]

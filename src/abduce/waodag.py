@@ -8,7 +8,6 @@ freely assignable and their labels are ignored.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,12 +31,6 @@ OR = "or"
 
 # A truth assignment is a plain dict mapping every node id to a bool.
 TruthAssignment = Dict[str, bool]
-
-
-class Monotonicity(enum.Enum):
-    STRICT = "strict"
-    MONOTONIC = "monotonic"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -183,19 +176,13 @@ def base_and_support(w: Waodag, e: TruthAssignment):
     return support & w.hypotheses, support
 
 
-def monotonicity_class(w: Waodag) -> Monotonicity:
-    """Syntactic sufficient test on the per-node cost gaps.
+def is_monotonic(w: Waodag) -> bool:
+    """Every cost gap ``cost_true - cost_false`` is at least zero, so an
+    explanation costs no more than any with a larger base set.
 
-    UNKNOWN does not mean non-monotonic; the test is only sufficient.
+    The test is only sufficient: False does not mean non-monotonic.
     """
-    strict = True
-    for n in w.nodes:
-        gap = w.cost_true[n] - w.cost_false[n]
-        if gap < 0:
-            return Monotonicity.UNKNOWN
-        if gap == 0:
-            strict = False
-    return Monotonicity.STRICT if strict else Monotonicity.MONOTONIC
+    return all(w.cost_true[n] >= w.cost_false[n] for n in w.nodes)
 
 
 def is_cardinal(w: Waodag, e: TruthAssignment) -> bool:

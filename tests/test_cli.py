@@ -160,6 +160,22 @@ class TestAbduceCommands:
         assert len(out.strip().splitlines()) == 6
 
 
+@pytest.mark.parametrize("cli, doc, args", [
+    (abduce_cli, {"nodes": []}, []),
+    (abduce_cli, {"nodes": []}, ["--mode", "cardinal"]),
+    (mpe_cli, {"variables": []}, []),
+], ids=["abduce-all", "abduce-cardinal", "mpe"])
+def test_empty_model_has_one_empty_explanation(runner, tmp_path, cli, doc,
+                                               args):
+    # the first cut leaves 0 <= -1, which ends the stream after one rank
+    model = tmp_path / "empty.json"
+    model.write_text(json.dumps(doc))
+    got = run_ok(runner, cli, ["enumerate", str(model), *args])
+    assert got == run_ok(runner, cli, ["oracle", str(model), *args])
+    [line] = json_lines(got)
+    assert (line["rank"], line["cost"], line["assignment"]) == (1, 0, {})
+
+
 # --- mpe commands -------------------------------------------------------------
 
 class TestMpeCommands:

@@ -19,12 +19,7 @@ from abduce.constraints import (
     satisfies,
     truth_to_solution,
 )
-from abduce.errors import (
-    EmptyScope,
-    InvariantViolation,
-    NodeLimitExceeded,
-    NotStrictlyMonotonic,
-)
+from abduce.errors import InvariantViolation, NodeLimitExceeded, NotMonotonic
 from abduce.generate import random_bayesnet, random_evidence, random_waodag
 
 from util import (
@@ -85,9 +80,18 @@ class TestExclusionCut:
         assert cut.terms == ((1.0, "x1"),)
         assert cut.rhs == 0.0
 
-    def test_empty_scope_rejected(self):
-        with pytest.raises(EmptyScope):
-            search.exclusion_cut({}, ())
+    def test_nothing_left_is_the_infeasible_row(self, tony):
+        # an empty scope, or no true hypothesis under the cardinal cut,
+        # leaves 0 <= -1, and the LP with that row is infeasible
+        system = encode_waodag(tony).system
+        none = {x: 0 for x in system.variables}
+        for cut in (search.exclusion_cut({}, ()),
+                    search.exclusion_cut(none, ()),
+                    search.cardinal_cut(none, system.scope),
+                    search.cardinal_cut({}, ())):
+            assert (cut.terms, cut.relation, cut.rhs) == ((), "<=", -1.0)
+            res = sx.solve(sx.add_row(sx.relax(system), cut))
+            assert res.status == sx.INFEASIBLE
 
     @pytest.mark.parametrize("name", SCOPE_SYSTEMS)
     def test_removes_exactly_one_point(self, name):
@@ -337,10 +341,10 @@ class TestEnumerateCardinal:
 
     def test_refuses_unknown_monotonicity(self, tony):
         cost_false = dict(tony.cost_false)
-        cost_false["Tony-out"] = 10.0  # negative gap: class UNKNOWN
+        cost_false["Tony-out"] = 10.0  # negative gap
         w = wd.Waodag.build(tony.nodes, tony.edges, tony.label,
                             tony.cost_true, cost_false, tony.evidence)
-        with pytest.raises(NotStrictlyMonotonic):
+        with pytest.raises(NotMonotonic, match="cost gap is negative"):
             search.enumerate_cardinal(encode_waodag(w), search.ALL)
 
     def test_zero_gap_extra_hypothesis(self, tony):
@@ -634,7 +638,7 @@ def test_cardinal_stream_at_every_cost_scale(seed, scale):
 
 def test_integral_point_check_fires(tony, monkeypatch):
     # an integral LP optimum that fails the system raises, never vanishes
-    monkeypatch.setattr(search, "satisfies", lambda system, s, tol: False)
+    monkeypatch.setattr(search, "satisfies", lambda system, s: False)
     with pytest.raises(InvariantViolation, match="violates the system"):
         search.solve_optimal(encode_waodag(tony).system)
 

@@ -18,7 +18,7 @@ from abduce.errors import (
 )
 from abduce.generate import random_waodag
 
-from util import strict_graph, tony_graph, truth_key
+from util import is_strict, strict_graph, tony_graph, truth_key
 
 HYPS = ("Tony-in", "Tony-sleeping", "Tony-out")
 
@@ -171,15 +171,18 @@ class TestBaseAndSupport:
 
 class TestMonotonicityClass:
     def test_tony_monotonic(self, tony):
-        assert wd.monotonicity_class(tony) is wd.Monotonicity.MONOTONIC
+        # the internal nodes' gaps are zero: monotonic, not strict
+        assert wd.is_monotonic(tony)
+        assert not is_strict(tony)
 
     def test_perturbed_tony_strict(self, tony):
         perturbed = strict_graph(tony, 0.001)
-        assert wd.monotonicity_class(perturbed) is wd.Monotonicity.STRICT
+        assert wd.is_monotonic(perturbed)
+        assert is_strict(perturbed)
 
     def test_negative_gap_unknown(self):
         w = wd.Waodag.build(["a"], [], {}, {}, cost_false={"a": 1.0})
-        assert wd.monotonicity_class(w) is wd.Monotonicity.UNKNOWN
+        assert not wd.is_monotonic(w)
 
 
 class TestIsCardinal:
@@ -294,30 +297,31 @@ class TestProperties:
             assert len(listed) >= 1 << len(rest)
 
     def test_monotonic_cost_semantics(self, w):
-        cls = wd.monotonicity_class(w)
-        if cls is wd.Monotonicity.UNKNOWN:
-            pytest.skip("syntactic test inconclusive")
+        assert wd.is_monotonic(w)
+        strict = is_strict(w)
         listed = wd.enumerate_explanations_oracle(w)
         for e1, c1 in listed:
             for e2, c2 in listed:
                 h1, _ = wd.base_and_support(w, e1)
                 h2, _ = wd.base_and_support(w, e2)
                 if h1 < h2:
-                    if cls is wd.Monotonicity.STRICT:
+                    if strict:
                         assert c1 < c2
                     else:
                         assert c1 <= c2
 
     def test_strict_minimum_is_cardinal(self, w):
-        if wd.monotonicity_class(w) is not wd.Monotonicity.STRICT:
-            pytest.skip("needs a strict instance")
-        listed = wd.enumerate_explanations_oracle(w)
+        # a strict graph comes back as it was
+        strict = strict_graph(w, 0.001)
+        assert is_strict(strict)
+        assert (strict == w) is is_strict(w)
+        listed = wd.enumerate_explanations_oracle(strict)
         if not listed:
             pytest.skip("no explanation exists")
         best_cost = listed[0][1]
         for e, c in listed:
             if c == best_cost:
-                assert wd.is_cardinal(w, e)
+                assert wd.is_cardinal(strict, e)
 
 
 def test_zero_gap_hypothesis_breaks_strictness(tony):
@@ -330,13 +334,14 @@ def test_zero_gap_hypothesis_breaks_strictness(tony):
         cost_false=dict(tony.cost_false),
         evidence=tony.evidence,
     )
-    assert wd.monotonicity_class(w) is wd.Monotonicity.MONOTONIC
+    assert wd.is_monotonic(w)
+    assert not is_strict(w)
     with_awake = wd.propagate(w, {"Tony-out", "Tony-awake"})
     without = wd.propagate(w, {"Tony-out"})
     assert wd.cost(w, with_awake) == wd.cost(w, without) == 8
     assert not wd.is_cardinal(w, with_awake)
     strict = strict_graph(w, 1e-6)
-    assert wd.monotonicity_class(strict) is wd.Monotonicity.STRICT
+    assert is_strict(strict)
 
 
 def test_truth_key_helper(tony):

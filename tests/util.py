@@ -44,10 +44,17 @@ def tony_graph() -> wd.Waodag:
     )
 
 
+def is_strict(w: wd.Waodag) -> bool:
+    """Every cost gap ``cost_true - cost_false`` is positive, so every
+    explanation costs less than any with a larger base set."""
+    return all(w.cost_true[n] > w.cost_false[n] for n in w.nodes)
+
+
 def strict_graph(w: wd.Waodag, delta: float) -> wd.Waodag:
     """``w`` with each non-positive cost gap raised to exactly ``delta``:
-    a STRICT graph with the same cardinal explanations, for tests that need
-    every explanation's cost to rise with its base set."""
+    a strict graph (``is_strict``) with the same cardinal explanations, for
+    tests that need every explanation's cost to rise with its base set.  A
+    strict graph comes back unchanged."""
     cost_true = {n: w.cost_false[n] + delta
                  if w.cost_true[n] <= w.cost_false[n] else w.cost_true[n]
                  for n in w.nodes}
