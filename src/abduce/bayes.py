@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
-from .errors import (
-    CyclicNetwork,
-    IncompleteInstantiation,
-    MissingCptEntry,
-    OracleTooLarge,
-    RowNotNormalized,
-    UnknownVariable,
-    ValueOutOfRange,
-)
+from .errors import ModelError
 from .toposort import kahn_order
 
 NORMALIZATION_TOL = 1e-9
@@ -43,13 +35,10 @@ class BayesianNetwork:
 
     @cached_property
     def topo_order(self) -> Tuple[str, ...]:
-        order = kahn_order(self.variables,
-                           ((p, v) for v in self.variables
-                            for p in self.parents[v]))
-        if len(order) != len(self.variables):
-            raise CyclicNetwork(
-                f"cycle through {sorted(set(self.variables) - set(order))}")
-        return tuple(order)
+        """Kahn's algorithm; raises ModelError when no order exists."""
+        return tuple(kahn_order(self.variables,
+                                ((p, v) for v in self.variables
+                                 for p in self.parents[v])))
 
     @cached_property
     def checked(self) -> bool:
@@ -59,27 +48,30 @@ class BayesianNetwork:
         varset = set(self.variables)
         for v in self.variables:
             if not self.ranges.get(v):
-                raise ValueOutOfRange(f"variable {v!r} has an empty range")
+                raise ModelError(f"variable {v!r} has an empty range")
             for p in self.parents[v]:
                 if p not in varset:
-                    raise UnknownVariable(f"parent {p!r} of {v!r}")
-        self.topo_order  # raises CyclicNetwork
+                    raise ModelError(f"unknown parent {p!r} of {v!r}")
+        self.topo_order  # raises on a cycle
         for v in self.variables:
             for config in self.parent_configs(v):
                 total = 0.0
                 for a in self.ranges[v]:
                     key = (v, a, tuple(config))
                     if key not in self.cpt:
-                        raise MissingCptEntry(f"P({v}={a} | {config!r})")
+                        raise ModelError(
+                            f"missing CPT entry P({v}={a} | {config!r})")
                     p = self.cpt[key]
                     if not (0.0 <= p <= 1.0):
-                        raise ValueOutOfRange(f"P({v}={a} | {config!r}) = {p!r}")
+                        raise ModelError(
+                            f"P({v}={a} | {config!r}) = {p!r} is not in [0, 1]")
                     total += p
                 if abs(total - 1.0) > NORMALIZATION_TOL:
-                    raise RowNotNormalized(v, tuple(config), total)
+                    raise ModelError(f"CPT row for {v} given {config!r} sums "
+                                     f"to {total!r}, not 1")
         extra = len(self.cpt) - self.entry_count()
         if extra:
-            raise MissingCptEntry(f"{extra} CPT entries reference unknown configurations")
+            raise ModelError(f"{extra} CPT entries reference unknown configurations")
         return True
 
     def parent_configs(self, var: str):
@@ -98,23 +90,26 @@ def validate(b: BayesianNetwork) -> None:
     b.checked
 
 
-def _check_entries(b: BayesianNetwork, w: InstantiationSet) -> None:
+def check_entries(b: BayesianNetwork, w: InstantiationSet) -> None:
+    """Each variable of ``w`` is the network's and its value in its range,
+    else a ModelError names the first that is not."""
     for var, val in w.items():
         if var not in b.ranges:
-            raise UnknownVariable(repr(var))
+            raise ModelError(f"unknown variable {var!r}")
         if val not in b.ranges[var]:
-            raise ValueOutOfRange(f"{var}={val}")
+            raise ModelError(
+                f"value {var}={val} not in range {b.ranges[var]!r}")
 
 
 def is_complete(b: BayesianNetwork, w: InstantiationSet) -> bool:
-    _check_entries(b, w)
+    check_entries(b, w)
     return set(w) == set(b.variables)
 
 
 def probability(b: BayesianNetwork, w: InstantiationSet) -> float:
     """Chain-rule joint of a complete instantiation-set."""
     if not is_complete(b, w):
-        raise IncompleteInstantiation(f"span covers only {sorted(w)}")
+        raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
     prod = 1.0
     logsum = 0.0
     positive = True
@@ -139,10 +134,11 @@ def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet,
     Ties broken lexicographically by value indices over the declared
     variable order.
     """
-    _check_entries(b, e)
+    check_entries(b, e)
     total = math.prod(len(b.ranges[v]) for v in b.variables)
     if total > limit:
-        raise OracleTooLarge(f"{total} complete instantiation-sets")
+        raise ModelError(f"{total} complete instantiation-sets exceed the "
+                         f"oracle limit {limit}")
     choices = [(e[v],) if v in e else b.ranges[v] for v in b.variables]
     ranked = []
     for combo in itertools.product(*choices):

@@ -2,8 +2,8 @@
 
 Results are emitted as JSON lines, one per ranked solution, with numbers
 formatted to 17 significant digits so identical inputs give byte-identical
-output.  Exit codes: 0 success, 1 model, parse or usage error, 2 solver
-limit.
+output.  Exit codes: 0 success, 1 a ``ModelError`` or usage error, 2 a
+``SolverLimit``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .constraints import (
     objective,
     truth_to_solution,
 )
-from .errors import ModelError, ParseError, SolverLimit
+from .errors import ModelError, SolverLimit
 
 
 def _jval(obj):
@@ -84,7 +84,7 @@ def _parse_k(value: str) -> object:
         return search.ALL
     k = int(value)
     if k < 1:
-        raise ParseError("--k must be at least 1, or 'all'")
+        raise ModelError("--k must be at least 1, or 'all'")
     return k
 
 
@@ -163,19 +163,18 @@ def abduce_encode(model, essential):
 
 # --- mpe --------------------------------------------------------------------
 
-def _gather_evidence(evidence: Optional[str], evidence_file: Optional[str]):
-    """Merged evidence; ``apply_evidence`` checks its variables and values."""
-    merged: bn.InstantiationSet = {}
-    if evidence_file:
-        with open(evidence_file, "r", encoding="utf-8") as fh:
-            for var, val in json.load(fh).items():
-                merged[var] = str(val)
+def _mpe_encoding(model: str, zero_prob: str, evidence: Optional[str],
+                  evidence_file: Optional[str]):
+    """The model's encoding with the evidence of both options applied, and
+    that evidence; ``apply_evidence`` checks its variables and values."""
+    b = model_io.parse_bayesnet_file(model)
+    e = model_io.parse_evidence_file(evidence_file) if evidence_file else {}
     if evidence:
         for var, val in model_io.parse_evidence_spec(evidence).items():
-            if var in merged and merged[var] != val:
-                raise ParseError(f"conflicting evidence for {var!r}")
-            merged[var] = val
-    return merged
+            if var in e and e[var] != val:
+                raise ModelError(f"conflicting evidence for {var!r}")
+            e[var] = val
+    return apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e), e
 
 
 def _mpe_record(rank, r_assignment, cost, prob, inst) -> dict:
@@ -203,9 +202,7 @@ def _mpe_model_options(f):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 def mpe_solve(model, zero_prob, evidence, evidence_file):
-    b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(evidence, evidence_file)
-    enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
+    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
     ranked = search.enumerate_permissible(enc, 1)
     if not ranked:
         click.echo("no explanation exists", err=True)
@@ -219,9 +216,7 @@ def mpe_solve(model, zero_prob, evidence, evidence_file):
 @_mpe_model_options
 @click.option("--k", default="all")
 def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
-    b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(evidence, evidence_file)
-    enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
+    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
     ranked = search.enumerate_permissible(enc, _parse_k(k))
     for r in ranked:
         emit(_mpe_record(r.rank, r.assignment, r.cost, r.probability,
@@ -233,11 +228,9 @@ def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
 @_mpe_model_options
 @click.option("--k", default="all")
 def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
-    b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(evidence, evidence_file)
-    enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
+    enc, e = _mpe_encoding(model, zero_prob, evidence, evidence_file)
     want = _parse_k(k)
-    for rank, (w, p) in _ranked(bn.enumerate_mpe_oracle(b, e), want):
+    for rank, (w, p) in _ranked(bn.enumerate_mpe_oracle(enc.network, e), want):
         s = instantiation_to_solution(enc, w)
         emit(_mpe_record(rank, s, objective(enc.system, s), p, w))
 
@@ -246,9 +239,7 @@ def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 def mpe_encode(model, zero_prob, evidence, evidence_file):
-    b = model_io.parse_bayesnet_file(model)
-    e = _gather_evidence(evidence, evidence_file)
-    enc = apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e)
+    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
     click.echo(dump(enc.system))
 
 

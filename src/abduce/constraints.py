@@ -27,14 +27,7 @@ import numpy as np
 
 from . import bayes as bn
 from . import waodag as wd
-from .errors import (
-    DomainMismatch,
-    IncompleteInstantiation,
-    NotASolution,
-    UnknownVariable,
-    ValueOutOfRange,
-    ZeroProbabilityRejected,
-)
+from .errors import ModelError
 
 # any value below 1 gives the same verdict on a 0-1 point of integer rows
 FEASIBILITY_TOL = 1e-6
@@ -116,10 +109,10 @@ class ConstraintSystem:
 def _point(system: ConstraintSystem, s: Point) -> np.ndarray:
     if isinstance(s, np.ndarray):
         if s.shape != (len(system.variables),):
-            raise DomainMismatch(f"point of shape {s.shape} != variable count")
+            raise ModelError(f"point of shape {s.shape} != variable count")
         return s
     if set(s) != set(system.variables):
-        raise DomainMismatch("assignment domain != variable set")
+        raise ModelError("assignment domain does not match the variable set")
     return np.array([s[x] for x in system.variables], dtype=float)
 
 
@@ -187,7 +180,7 @@ def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
 
 def truth_to_solution(enc: WaodagEncoding, e: wd.TruthAssignment) -> Assignment01:
     if set(e) != set(enc.waodag.nodes):
-        raise DomainMismatch("assignment domain != node set")
+        raise ModelError("assignment domain does not match the node set")
     return {q: int(e[q]) for q in enc.waodag.nodes}
 
 
@@ -246,8 +239,9 @@ def encode_bayesnet(b: bn.BayesianNetwork,
                 p = b.cpt[(v, a, tuple(config))]
                 if p < PROB_FLOOR:
                     if zero_prob == "reject":
-                        raise ZeroProbabilityRejected(
-                            f"P({v}={a} | {config!r}) = {p!r}")
+                        raise ModelError(
+                            f"P({v}={a} | {config!r}) = {p!r} is below "
+                            f"{PROB_FLOOR:g} and --zero-prob is reject")
                     p = PROB_FLOOR
                 psi_true[name] = -math.log(p)
                 conditionals[name] = CondVar(v, a, config_pairs)
@@ -267,26 +261,18 @@ def encode_bayesnet(b: bn.BayesianNetwork,
 
 
 def apply_evidence(enc: BayesEncoding, e: bn.InstantiationSet) -> BayesEncoding:
-    """Pin the evidence indicators to 1; adds exactly |e| equality rows."""
-    rows = []
-    for var in enc.network.variables:
-        if var not in e:
-            continue
-        val = e[var]
-        if val not in enc.network.ranges[var]:
-            raise ValueOutOfRange(f"evidence value {var}={val} not in range")
-        rows.append(LinearConstraint(((1.0, indicator_name(var, val)),), EQ, 1.0))
-    unknown = sorted(set(e) - set(enc.network.variables))
-    if unknown:
-        raise UnknownVariable(
-            f"evidence for unknown variable {', '.join(map(repr, unknown))}")
+    """Pin the evidence indicators to 1, in network variable order; adds
+    exactly |e| equality rows.  ``bayes.check_entries`` checks ``e``."""
+    bn.check_entries(enc.network, e)
+    rows = [LinearConstraint(((1.0, indicator_name(var, e[var])),), EQ, 1.0)
+            for var in enc.network.variables if var in e]
     return replace(enc, system=enc.system.extended(rows))
 
 
 def is_permissible(enc: BayesEncoding, s: Assignment01) -> bool:
     """Every active conditional has its head and full configuration active."""
     if set(s) != set(enc.system.variables):
-        raise DomainMismatch("assignment domain != variable set")
+        raise ModelError("assignment domain does not match the variable set")
     return all(s[indicator_name(info.head_var, info.head_value)]
                and all(s[indicator_name(p, v)] for p, v in info.config)
                for name, info in enc.conditionals.items() if s[name])
@@ -299,8 +285,8 @@ def solution_to_instantiation(enc: BayesEncoding,
         active = [a for a in enc.network.ranges[var]
                   if s[indicator_name(var, a)]]
         if len(active) != 1:
-            raise NotASolution(
-                f"indicator group of {var!r} has {len(active)} active members")
+            raise ModelError(f"indicator group of {var!r} has "
+                             f"{len(active)} active members, not 1")
         w[var] = active[0]
     return w
 
@@ -308,7 +294,7 @@ def solution_to_instantiation(enc: BayesEncoding,
 def instantiation_to_solution(enc: BayesEncoding,
                               w: bn.InstantiationSet) -> Assignment01:
     if not bn.is_complete(enc.network, w):
-        raise IncompleteInstantiation(f"span covers only {sorted(w)}")
+        raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
     s: Assignment01 = {indicator_name(var, a): int(w[var] == a)
                        for var in enc.network.variables
                        for a in enc.network.ranges[var]}

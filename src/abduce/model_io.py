@@ -6,7 +6,7 @@ are optional and ignored; omitted costs default to 0.
 
 Bayesian-network schema: {"variables": [{"name", "range"}],
 "cpts": [{"child", "parents", "rows": [{"given", "probs"}]}]}.  Priors use
-"given": [].
+"given": [].  A malformed document raises ModelError naming what is wrong.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any, Dict
 
 from . import bayes as bn
 from . import waodag as wd
-from .errors import ParseError
+from .errors import ModelError
 
 
 def _load_json(path: str) -> Any:
@@ -25,42 +25,62 @@ def _load_json(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
+        raise ModelError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
 
 
-def _intern(node: Any) -> Any:
-    return sys.intern(node) if type(node) is str else node
+def _field(entry: Any, key: str, what: str) -> Any:
+    if not isinstance(entry, dict) or key not in entry:
+        raise ModelError(f"{what} without {key!r}: {entry!r}")
+    return entry[key]
+
+
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{what} is not a list: {value!r}")
+    return value
+
+
+def _name(value: Any, what: str) -> Any:
+    """A JSON string or number.  Strings are interned, so every parse of the
+    same names, and every solution keyed by them, shares one copy of each."""
+    if type(value) is str:
+        return sys.intern(value)
+    if isinstance(value, (list, tuple, dict)):
+        raise ModelError(f"{what} is not a string or number: {value!r}")
+    return value
+
+
+def _names(value: Any, what: str) -> tuple:
+    return tuple(_name(x, what) for x in _list(value, what))
 
 
 def parse_waodag(doc: Any) -> wd.Waodag:
-    """Node ids that are strings are interned, so every parse of the same
-    names, and every solution keyed by them, shares one copy of each."""
     if not isinstance(doc, dict) or "nodes" not in doc:
-        raise ParseError("expected an object with a 'nodes' list")
+        raise ModelError("expected an object with a 'nodes' list")
     nodes = []
     label: Dict[str, str] = {}
     cost_true: Dict[str, float] = {}
     cost_false: Dict[str, float] = {}
-    for entry in doc["nodes"]:
-        try:
-            node = _intern(entry["id"])
-        except (TypeError, KeyError):
-            raise ParseError(f"node entry without an id: {entry!r}")
+    for entry in _list(doc["nodes"], "'nodes'"):
+        node = _name(_field(entry, "id", "node entry"), "node id")
         nodes.append(node)
         if "label" in entry:
             if entry["label"] not in (wd.AND, wd.OR):
-                raise ParseError(f"unknown label {entry['label']!r} on {node!r}")
+                raise ModelError(f"unknown label {entry['label']!r} on {node!r}")
             label[node] = entry["label"]
-        cost_true[node] = float(entry.get("cost_true", 0.0))
-        cost_false[node] = float(entry.get("cost_false", 0.0))
+        try:
+            cost_true[node] = float(entry.get("cost_true", 0.0))
+            cost_false[node] = float(entry.get("cost_false", 0.0))
+        except (TypeError, ValueError):
+            raise ModelError(f"a cost of {node!r} is not a number: {entry!r}")
     edges = []
-    for pair in doc.get("edges", []):
+    for pair in _list(doc.get("edges", []), "'edges'"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"edge is not a [parent, child] pair: {pair!r}")
-        edges.append((_intern(pair[0]), _intern(pair[1])))
-    w = wd.Waodag.build(nodes, edges, label, cost_true, cost_false,
-                        doc.get("evidence", []))
+            raise ModelError(f"edge is not a [parent, child] pair: {pair!r}")
+        edges.append((_name(pair[0], "edge end"), _name(pair[1], "edge end")))
+    evidence = _names(doc.get("evidence", []), "'evidence'")
+    w = wd.Waodag.build(nodes, edges, label, cost_true, cost_false, evidence)
     wd.validate(w)
     return w
 
@@ -89,41 +109,41 @@ def waodag_to_doc(w: wd.Waodag) -> dict:
 
 def parse_bayesnet(doc: Any) -> bn.BayesianNetwork:
     if not isinstance(doc, dict) or "variables" not in doc:
-        raise ParseError("expected an object with a 'variables' list")
+        raise ModelError("expected an object with a 'variables' list")
     variables = []
     ranges: Dict[str, tuple] = {}
-    for entry in doc["variables"]:
-        try:
-            name = entry["name"]
-            rng = tuple(entry["range"])
-        except (TypeError, KeyError):
-            raise ParseError(f"bad variable entry: {entry!r}")
+    for entry in _list(doc["variables"], "'variables'"):
+        name = _name(_field(entry, "name", "variable entry"), "variable name")
         variables.append(name)
-        ranges[name] = rng
+        ranges[name] = _names(_field(entry, "range", "variable entry"),
+                              f"range of {name!r}")
     parents: Dict[str, tuple] = {v: () for v in variables}
     cpt: Dict[bn.CptKey, float] = {}
-    for block in doc.get("cpts", []):
-        try:
-            child = block["child"]
-            ps = tuple(block["parents"])
-            rows = block["rows"]
-        except (TypeError, KeyError):
-            raise ParseError(f"bad cpt block: {block!r}")
+    for block in _list(doc.get("cpts", []), "'cpts'"):
+        child = _name(_field(block, "child", "cpt block"), "cpt child")
+        ps = _names(_field(block, "parents", "cpt block"),
+                    f"parents of {child!r}")
+        rows = _list(_field(block, "rows", "cpt block"), f"rows of {child!r}")
         if child not in ranges:
-            raise ParseError(f"cpt for unknown variable {child!r}")
+            raise ModelError(f"cpt for unknown variable {child!r}")
         parents[child] = ps
         for row in rows:
-            try:
-                given = tuple(row["given"])
-                probs = row["probs"]
-            except (TypeError, KeyError):
-                raise ParseError(f"bad cpt row: {row!r}")
+            given = _names(_field(row, "given", "cpt row"),
+                           f"'given' of a {child!r} row")
+            probs = _field(row, "probs", "cpt row")
+            if not isinstance(probs, dict):
+                raise ModelError(f"'probs' of a {child!r} row is not an "
+                                 f"object: {probs!r}")
             if len(given) != len(ps):
-                raise ParseError(
+                raise ModelError(
                     f"cpt row for {child!r} gives {len(given)} parent values, "
                     f"expected {len(ps)}")
             for value, p in probs.items():
-                cpt[(child, value, given)] = float(p)
+                try:
+                    cpt[(child, value, given)] = float(p)
+                except (TypeError, ValueError):
+                    raise ModelError(f"P({child}={value} | {given!r}) = {p!r} "
+                                     f"is not a number")
     b = bn.BayesianNetwork(tuple(variables), ranges, parents, cpt)
     bn.validate(b)
     return b
@@ -159,10 +179,18 @@ def parse_evidence_spec(spec: str) -> bn.InstantiationSet:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ParseError(f"evidence item {chunk!r} is not Var=value")
+            raise ModelError(f"evidence item {chunk!r} is not Var=value")
         var, _, val = chunk.partition("=")
         var, val = var.strip(), val.strip()
         if var in out and out[var] != val:
-            raise ParseError(f"conflicting evidence for {var!r}")
+            raise ModelError(f"conflicting evidence for {var!r}")
         out[var] = val
     return out
+
+
+def parse_evidence_file(path: str) -> bn.InstantiationSet:
+    """A JSON object of Var: value pairs; each value is read as a string."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: expected an object of Var: value pairs")
+    return {var: str(val) for var, val in doc.items()}

@@ -45,7 +45,7 @@ from .constraints import (
     solution_to_instantiation,
     truth_to_solution,
 )
-from .errors import InvariantViolation, NodeLimitExceeded, NotMonotonic
+from .errors import InvariantViolation, ModelError, SolverLimit
 
 ALL = "all"
 INT_TOL = 1e-7
@@ -130,7 +130,7 @@ def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
                     cost01, root)
         nodes += 1
         if nodes > NODE_LIMIT:
-            raise NodeLimitExceeded(f"{nodes} branch-and-bound nodes")
+            raise SolverLimit(f"branch and bound exceeded {NODE_LIMIT} nodes")
         for v in (0, 1):
             child_p = sx.with_bounds(node_p, frac_j, float(v), float(v))
             child = sx.solve(child_p, warm=res.basis)
@@ -186,8 +186,8 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
     """
     w = enc.waodag
     if not wd.is_monotonic(w):
-        raise NotMonotonic("a cost gap is negative; cardinal mode needs "
-                           "cost_true >= cost_false at every node")
+        raise ModelError("a cost gap is negative; cardinal mode needs "
+                         "cost_true >= cost_false at every node")
     system = enc.system
     free = [h for h in system.scope
             if system.psi_true[h] == system.psi_false[h]]

@@ -45,9 +45,9 @@ infeasibility the updated ones hid.
 
 Pivot rules are fixed for determinism.  The dual leaves on the largest
 infeasibility and enters on the least ratio, ties to the lowest variable
-index.  After ``BLAND_AFTER`` consecutive degenerate pivots it switches to
-Bland's rule, which cannot cycle: it leaves on the lowest infeasible basic
-index and enters on the lowest index among ratio ties.
+index.  After ``BLAND_AFTER`` consecutive degenerate (zero-ratio) pivots it
+switches to Bland's rule, which cannot cycle: it leaves on the lowest
+infeasible basic index and enters on the lowest index among ratio ties.
 """
 
 from __future__ import annotations
@@ -60,13 +60,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .constraints import GE, LE, ConstraintSystem, LinearConstraint
-from .errors import IterationLimit, LostDualFeasibility
+from .errors import SolverLimit
 
 FEAS_TOL = 1e-7
 # relative: the certificate's tolerance is OPT_TOL * (1 + max|c|), since
 # reduced costs round in proportion to the costs
 OPT_TOL = 1e-10
 PIVOT_TOL = 1e-10
+# relative too: ratios |d_j| / |alpha_j| scale with the costs, so two tie,
+# and a step is degenerate, to within RATIO_TIE_TOL * max|c|
 RATIO_TIE_TOL = 1e-9
 BLAND_AFTER = 100
 REFACTOR_EVERY = 50
@@ -76,14 +78,15 @@ INFEASIBLE = "infeasible"
 
 
 class Layout(NamedTuple):
-    """Slack bounds by relation, costs and the certificate's tolerance of
-    one system; bound changes share it."""
+    """Slack bounds by relation, costs and the tolerances that scale with
+    them, of one system; bound changes share it."""
     slack_lo: np.ndarray     # -inf for a ``>=`` row, else 0
     slack_up: np.ndarray     # inf for a ``<=`` row, else 0
     c: np.ndarray            # psi_true - psi_false
     c0: float                # the sum of psi_false
     cost: np.ndarray         # c over the structural | slack columns
     opt_tol: float           # the certificate's tolerance
+    tie_tol: float           # the ratio test's tie tolerance
 
 
 @dataclass
@@ -97,11 +100,12 @@ class LpProblem:
         _, rel, _ = self.system.rows
         psi_true, psi_false = self.system.costs
         c = psi_true - psi_false
+        cmax = float(np.abs(c).max(initial=0.0))
         return Layout(np.where(rel == GE, -math.inf, 0.0),
                       np.where(rel == LE, math.inf, 0.0), c,
                       float(sum(psi_false.tolist())),
                       np.concatenate([c, np.zeros(len(rel))]),
-                      OPT_TOL * (1.0 + np.abs(c).max(initial=0.0)))
+                      OPT_TOL * (1.0 + cmax), RATIO_TIE_TOL * cmax)
 
 
 @dataclass
@@ -158,7 +162,7 @@ class _Worker:
         self.m, self.n = self.A.shape
         self.ntot = self.n + self.m
         self.layout = lay = p.layout
-        self.c, self.opt_tol = lay.cost, lay.opt_tol
+        self.c, self.opt_tol, self.tie_tol = lay.cost, lay.opt_tol, lay.tie_tol
         self.lo = np.concatenate([p.lower, lay.slack_lo])
         self.up = np.concatenate([p.upper, lay.slack_up])
         self.boxed = self.up > self.lo + 1e-12
@@ -265,14 +269,14 @@ class _Worker:
             ratios = np.abs(self.d[elig]) / np.abs(alpha[elig])
             if bland:
                 # the lowest index among ratio ties enters
-                k = int(np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)[0])
+                k = int(np.flatnonzero(ratios <= ratios.min() + self.tie_tol)[0])
             else:
                 k = int(np.argmin(ratios))  # first minimum: lowest index at ties
-            degen = degen + 1 if ratios[k] <= 1e-10 else 0
+            degen = degen + 1 if ratios[k] <= self.tie_tol else 0
             self._pivot(pos, int(elig[k]), alpha, leaving_below)
             self.pivots += 1
             if self.pivots > self.limit:
-                raise IterationLimit(f"simplex exceeded {self.limit} pivots")
+                raise SolverLimit(f"simplex exceeded {self.limit} pivots")
 
     def result(self) -> LpResult:
         xs = self.x[:self.n]
@@ -322,19 +326,19 @@ def solve(p: LpProblem, warm: Optional[BasisState] = None) -> LpResult:
     """Solve the boxed LP; OPTIMAL with a certified basis, or INFEASIBLE.
 
     A warm start that fails (not dual feasible, the pivot limit, a singular
-    basis, or a failed certificate) is retried once from the slack basis; a
-    slack-basis solve that fails its certificate raises
-    ``LostDualFeasibility``: an optimum is never returned uncertified."""
+    basis, or a failed certificate) is retried once from the slack basis,
+    which raises ``SolverLimit`` at the pivot limit or a failed certificate:
+    an optimum is never returned uncertified."""
     if warm is not None:
         try:
             r = _solve_from(p, warm)
-        except (IterationLimit, np.linalg.LinAlgError):
+        except (SolverLimit, np.linalg.LinAlgError):
             r = None
         if r is not None:
             return r
     r = _solve_from(p, None)
     if r is None:
-        raise LostDualFeasibility(
-            "dual simplex from the slack basis ended on a basis that is not "
-            "dual feasible")
+        raise SolverLimit(
+            "optimum not certified: the dual simplex from the slack basis "
+            "ended on a basis that is not dual feasible")
     return r

@@ -5,14 +5,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
+from .errors import ModelError
+
 
 def kahn_order(nodes: Sequence[Hashable],
                edges: Iterable[Tuple[Hashable, Hashable]]) -> List[Hashable]:
     """FIFO Kahn order of ``nodes`` under (parent, child) ``edges``.
 
-    Ready nodes leave in declaration order, children in edge order.  The
-    result is shorter than ``nodes`` when no order exists; it then omits
-    exactly the nodes whose in-degree never reached zero.
+    Ready nodes leave in declaration order, children in edge order.  When
+    no order exists, a ModelError names the nodes whose in-degree never
+    reached zero, in declaration order.
     """
     indeg: Dict[Hashable, int] = {n: 0 for n in nodes}
     children: Dict[Hashable, List[Hashable]] = {n: [] for n in nodes}
@@ -30,4 +32,7 @@ def kahn_order(nodes: Sequence[Hashable],
             indeg[c] -= 1
             if indeg[c] == 0:
                 ready.append(c)
+    if len(order) != len(nodes):
+        placed = set(order)
+        raise ModelError(f"cycle through {[n for n in nodes if n not in placed]}")
     return order

@@ -13,17 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from .errors import (
-    CyclicGraph,
-    DanglingEdge,
-    DomainMismatch,
-    NonFiniteCost,
-    NotAnExplanation,
-    NotHypothesis,
-    OracleTooLarge,
-    ParseError,
-    UnknownEvidenceNode,
-)
+from .errors import ModelError
 from .toposort import kahn_order
 
 AND = "and"
@@ -80,12 +70,8 @@ class Waodag:
 
     @cached_property
     def topo_order(self) -> Tuple[str, ...]:
-        """Kahn's algorithm; raises CyclicGraph when no order exists."""
-        order = kahn_order(self.nodes, self.edges)
-        if len(order) != len(self.nodes):
-            cyclic = sorted(set(self.nodes) - set(order))
-            raise CyclicGraph(f"cycle through {cyclic}")
-        return tuple(order)
+        """Kahn's algorithm; raises ModelError when no order exists."""
+        return tuple(kahn_order(self.nodes, self.edges))
 
     def cost_of(self, node: str, value: bool) -> float:
         return self.cost_true[node] if value else self.cost_false[node]
@@ -95,22 +81,21 @@ class Waodag:
         """Structural invariants hold, else a ModelError names the offender.
         Cached, so an immutable graph is checked once; a failure is not."""
         nodeset = set(self.nodes)
-        for p, c in self.edges:
-            if p not in nodeset:
-                raise DanglingEdge(f"edge references unknown node {p!r}")
-            if c not in nodeset:
-                raise DanglingEdge(f"edge references unknown node {c!r}")
+        for edge in self.edges:
+            for q in edge:
+                if q not in nodeset:
+                    raise ModelError(f"edge references unknown node {q!r}")
         for q in self.evidence:
             if q not in nodeset:
-                raise UnknownEvidenceNode(repr(q))
+                raise ModelError(f"unknown evidence node {q!r}")
         for n in self.nodes:
             for v in (True, False):
                 val = self.cost_of(n, v)
                 if not math.isfinite(val):
-                    raise NonFiniteCost(f"cost({n!r}, {v}) = {val!r}")
+                    raise ModelError(f"cost({n!r}, {v}) = {val!r} is not finite")
             if self.parents[n] and self.label.get(n) not in (AND, OR):
-                raise ParseError(f"internal node {n!r} has no and/or label")
-        self.topo_order  # raises CyclicGraph
+                raise ModelError(f"internal node {n!r} has no and/or label")
+        self.topo_order  # raises on a cycle
         return True
 
 
@@ -121,8 +106,7 @@ def validate(w: Waodag) -> None:
 
 def _check_domain(w: Waodag, e: TruthAssignment) -> None:
     if set(e) != set(w.nodes):
-        raise DomainMismatch(
-            "assignment domain does not match the node set")
+        raise ModelError("assignment domain does not match the node set")
 
 
 def is_valid(w: Waodag, e: TruthAssignment) -> bool:
@@ -142,7 +126,6 @@ def is_valid(w: Waodag, e: TruthAssignment) -> bool:
 
 
 def is_explanation(w: Waodag, e: TruthAssignment) -> bool:
-    _check_domain(w, e)
     return is_valid(w, e) and all(e[q] for q in w.evidence)
 
 
@@ -151,7 +134,7 @@ def propagate(w: Waodag, hyps: Iterable[str]) -> TruthAssignment:
     hyps = set(hyps)
     bad = hyps - w.hypotheses
     if bad:
-        raise NotHypothesis(f"not hypothesis nodes: {sorted(bad)}")
+        raise ModelError(f"not hypothesis nodes: {sorted(bad)}")
     e: TruthAssignment = {}
     for q in w.topo_order:
         ps = w.parents[q]
@@ -192,7 +175,7 @@ def is_cardinal(w: Waodag, e: TruthAssignment) -> bool:
     hypothesis set, so if no maximal proper subset explains, none does.
     """
     if not is_explanation(w, e):
-        raise NotAnExplanation("is_cardinal needs an explanation")
+        raise ModelError("is_cardinal needs an explanation")
     base, _ = base_and_support(w, e)
     for h in base:
         if is_explanation(w, propagate(w, base - {h})):
@@ -208,8 +191,8 @@ def enumerate_explanations_oracle(w: Waodag, limit: int = 20):
     """
     hyp_order = [n for n in w.nodes if n in w.hypotheses]
     if len(hyp_order) > limit:
-        raise OracleTooLarge(
-            f"{len(hyp_order)} hypotheses exceeds oracle limit {limit}")
+        raise ModelError(
+            f"{len(hyp_order)} hypotheses exceed the oracle limit {limit}")
     found = []
     for mask in range(1 << len(hyp_order)):
         chosen = {h for i, h in enumerate(hyp_order) if mask >> i & 1}

@@ -11,7 +11,7 @@ from abduce.cli import abduce as abduce_cli
 from abduce.cli import gen as gen_cli
 from abduce.cli import mpe as mpe_cli
 from abduce.constraints import encode_waodag
-from abduce.errors import NodeLimitExceeded, ParseError, RowNotNormalized
+from abduce.errors import ModelError, SolverLimit
 
 from util import bundled_model
 
@@ -47,12 +47,13 @@ class TestParseWaodag:
     def test_unknown_label_rejected(self):
         doc = {"nodes": [{"id": "a"}, {"id": "b", "label": "xor"}],
                "edges": [["a", "b"]]}
-        with pytest.raises(ParseError):
+        with pytest.raises(ModelError, match="unknown label 'xor' on 'b'"):
             model_io.parse_waodag(doc)
 
     def test_missing_internal_label_rejected(self):
         doc = {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}
-        with pytest.raises(ParseError):
+        with pytest.raises(ModelError,
+                           match="internal node 'b' has no and/or label"):
             model_io.parse_waodag(doc)
 
     def test_omitted_costs_default_to_zero(self):
@@ -100,7 +101,7 @@ class TestParseBayesnet:
                "cpts": [{"child": "X", "parents": [],
                          "rows": [{"given": [],
                                    "probs": {"a": 0.5, "b": 0.4}}]}]}
-        with pytest.raises(RowNotNormalized):
+        with pytest.raises(ModelError, match="CPT row for X given .* sums to "):
             model_io.parse_bayesnet(doc)
 
     def test_round_trip(self):
@@ -112,9 +113,9 @@ class TestParseBayesnet:
 def test_evidence_spec_parsing():
     assert model_io.parse_evidence_spec("C=true, A=false") == \
         {"C": "true", "A": "false"}
-    with pytest.raises(ParseError):
+    with pytest.raises(ModelError, match="'C' is not Var=value"):
         model_io.parse_evidence_spec("C")
-    with pytest.raises(ParseError):
+    with pytest.raises(ModelError, match="conflicting evidence for 'C'"):
         model_io.parse_evidence_spec("C=true,C=false")
 
 
@@ -226,6 +227,19 @@ class TestMpeCommands:
         result = runner.invoke(mpe_cli, ["solve", FIG, "--evidence", "C=true",
                                          "--evidence-file", str(evidence)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('["C", "true"]', "expected an object of Var: value pairs"),
+        ('{"C": ', "line 1 column 7"),
+    ], ids=["array", "bad-json"])
+    def test_bad_evidence_file_fails(self, runner, tmp_path, text, message):
+        evidence = tmp_path / "e.json"
+        evidence.write_text(text)
+        result = runner.invoke(mpe_cli, ["solve", FIG,
+                                         "--evidence-file", str(evidence)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {evidence}: ")
+        assert message in result.stderr
 
 
 # --- gen commands -------------------------------------------------------------
@@ -344,9 +358,66 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert message in result.stderr
 
+    @pytest.mark.parametrize("cli, doc, message", [
+        (abduce_cli, {"nodes": 5}, "'nodes' is not a list: 5"),
+        (abduce_cli, {"nodes": [], "edges": 5}, "'edges' is not a list: 5"),
+        (mpe_cli, {"variables": 5}, "'variables' is not a list: 5"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": 7}]},
+         "rows of 'A' is not a list: 7"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [],
+                             "rows": [{"given": [], "probs": [0.5, 0.5]}]}]},
+         "'probs' of a 'A' row is not an object: [0.5, 0.5]"),
+        (abduce_cli, {"nodes": [{"id": "a", "cost_true": [1]}]},
+         "a cost of 'a' is not a number: {'id': 'a', 'cost_true': [1]}"),
+        (abduce_cli, {"nodes": [{"id": ["x"]}]},
+         "node id is not a string or number: ['x']"),
+        (abduce_cli, {"nodes": [{"id": "b"}, {"id": "c"}], "evidence": "bc"},
+         "'evidence' is not a list: 'bc'"),
+    ], ids=["nodes", "edges", "variables", "rows", "probs", "cost", "id",
+            "evidence-string"])
+    def test_malformed_model_is_exit_1(self, runner, tmp_path, cli, doc,
+                                       message):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["solve", str(model)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("cli, doc, args, message", [
+        (abduce_cli, {"nodes": [{"id": "a"}], "evidence": ["ghost"]}, [],
+         "unknown evidence node 'ghost'"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [],
+                             "rows": [{"given": [], "probs": {"t": 1.0}}]}]},
+         [], "missing CPT entry P(A=f | ())"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                       {"given": [], "probs": {"t": 1.5, "f": -0.5}}]}]},
+         [], "P(A=t | ()) = 1.5 is not in [0, 1]"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                       {"given": [], "probs": {"t": 1.0, "f": 0.0}}]}]},
+         ["--zero-prob", "reject"],
+         "P(A=f | ()) = 0.0 is below 1e-12 and --zero-prob is reject"),
+        (mpe_cli, {"variables": [{"name": "A", "range": []}]}, [],
+         "variable 'A' has an empty range"),
+    ], ids=["evidence-node", "missing-entry", "probability-range",
+            "zero-probability", "empty-range"])
+    def test_model_error_names_its_problem(self, runner, tmp_path, cli, doc,
+                                           args, message):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["solve", str(model), *args])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+
     def test_solver_limit_is_exit_2(self, runner, monkeypatch):
         def boom(*args, **kwargs):
-            raise NodeLimitExceeded("forced for the test")
+            raise SolverLimit("forced for the test")
         monkeypatch.setattr(search, "solve_optimal", boom)
         result = runner.invoke(abduce_cli, ["solve", TONY])
         assert result.exit_code == 2

@@ -1,6 +1,7 @@
 """Constraint systems, the two encoders, and solution/model conversions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,14 +27,7 @@ from abduce.constraints import (
     solution_to_instantiation,
     truth_to_solution,
 )
-from abduce.errors import (
-    CyclicGraph,
-    DomainMismatch,
-    IncompleteInstantiation,
-    NotASolution,
-    RowNotNormalized,
-    ZeroProbabilityRejected,
-)
+from abduce.errors import ModelError
 from abduce.generate import random_bayesnet, random_waodag
 
 from util import all_01_points, holds, solution_to_truth
@@ -65,7 +59,7 @@ class TestObjective:
 
     def test_domain_mismatch(self, tony):
         enc = encode_waodag(tony)
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ModelError, match="assignment domain"):
             objective(enc.system, {"Tony-in": 1})
 
 
@@ -202,7 +196,8 @@ class TestEncodeBayesnet:
         net = bn.BayesianNetwork(
             ("X",), {"X": ("a", "b")}, {"X": ()},
             {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        with pytest.raises(ZeroProbabilityRejected):
+        with pytest.raises(ModelError, match=re.escape(
+                "P(X=b | ()) = 0.0 is below 1e-12 and --zero-prob is reject")):
             encode_bayesnet(net, zero_prob="reject")
 
 
@@ -272,14 +267,15 @@ class TestInstantiationConversions:
 
     def test_incomplete_rejected(self, fig):
         enc = encode_bayesnet(fig)
-        with pytest.raises(IncompleteInstantiation):
+        with pytest.raises(ModelError, match="incomplete instantiation: covers only"):
             instantiation_to_solution(enc, {"A": T})
 
     def test_ambiguous_indicators_rejected(self, fig):
         enc = encode_bayesnet(fig)
         s = fig_solution(enc, T, F, T)
         s["A=false"] = 1  # both A indicators up
-        with pytest.raises(NotASolution):
+        with pytest.raises(ModelError,
+                           match="indicator group of 'A' has 2 active members"):
             solution_to_instantiation(enc, s)
 
 
@@ -432,14 +428,14 @@ def test_array_form_agrees_with_the_named_rows(case):
         a, rel, rhs = written_row(row, system.index, n)
         assert np.array_equal(A[i], a)
         assert (rels[i], b[i]) == (rel, rhs)
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(ModelError, match="assignment domain"):
         satisfies(system, {**s, "ghost": 1})
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(ModelError, match="point of shape"):
         objective(system, np.append(x, 1.0))
     if n > 1:
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ModelError, match="assignment domain"):
             objective(system, {v: s[v] for v in system.variables[1:]})
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ModelError, match="point of shape"):
             satisfies(system, x[1:])
 
 
@@ -448,17 +444,19 @@ def test_array_form_agrees_with_the_named_rows(case):
 def test_encoders_reject_invalid_models_as_parse_does():
     cyclic = wd.Waodag.build(["a", "b"], [("a", "b"), ("b", "a")],
                              {"a": wd.OR, "b": wd.OR}, {})
-    with pytest.raises(CyclicGraph):
+    with pytest.raises(ModelError,
+                       match=re.escape("cycle through ['a', 'b']")):
         model_io.parse_waodag(model_io.waodag_to_doc(cyclic))
-    with pytest.raises(CyclicGraph):
+    with pytest.raises(ModelError,
+                       match=re.escape("cycle through ['a', 'b']")):
         encode_waodag(cyclic)
     net = random_bayesnet(0, 3)
     cpt = dict(net.cpt)
     cpt[next(iter(cpt))] += 0.25
     broken = bn.BayesianNetwork(net.variables, net.ranges, net.parents, cpt)
-    with pytest.raises(RowNotNormalized):
+    with pytest.raises(ModelError, match="sums to"):
         model_io.parse_bayesnet(model_io.bayesnet_to_doc(broken))
-    with pytest.raises(RowNotNormalized):
+    with pytest.raises(ModelError, match="sums to"):
         encode_bayesnet(broken)
 
 

@@ -16,7 +16,7 @@ from abduce.constraints import (
     encode_bayesnet,
     encode_waodag,
 )
-from abduce.errors import LostDualFeasibility
+from abduce.errors import SolverLimit
 from abduce.generate import random_bayesnet, random_evidence, random_waodag
 
 TONY_ORDER = ("Tony-in", "Tony-sleeping", "Tony-out",
@@ -336,20 +336,23 @@ def record_starts(monkeypatch):
     return starts
 
 
-def assert_matches_highs(p, r, linprog):
-    """Same status and objective as HiGHS; ``r.x`` meets every row."""
+def assert_matches_highs(p, r, linprog, scale=1.0):
+    """Same status and objective as HiGHS; ``r.x`` meets every row.  HiGHS
+    solves the costs divided by ``scale``, so that its tolerances, and the
+    objective's, mean the same at every cost scale."""
     A, rel, b = p.system.rows
     # HiGHS takes <= rows: a >= row goes in negated
     sign = np.where(rel == ">=", -1.0, 1.0)
     ub, eq = rel != "=", rel == "="
-    ref = linprog(p.layout.c, A_ub=(A * sign[:, None])[ub],
+    ref = linprog(p.layout.c / scale, A_ub=(A * sign[:, None])[ub],
                   b_ub=(b * sign)[ub], A_eq=A[eq], b_eq=b[eq],
                   bounds=list(zip(p.lower, p.upper)), method="highs")
     assert ref.status in (0, 2), ref.message
     assert r.status == (sx.OPTIMAL if ref.status == 0 else sx.INFEASIBLE)
     if r.status != sx.OPTIMAL:
         return
-    assert r.objective == pytest.approx(ref.fun + p.layout.c0, abs=1e-7)
+    assert r.objective / scale == pytest.approx(
+        ref.fun + p.layout.c0 / scale, abs=1e-7)
     resid = sign * (A @ r.x - b)
     assert (resid[ub] <= sx.FEAS_TOL).all()
     assert (np.abs(resid[eq]) <= sx.FEAS_TOL).all()
@@ -393,11 +396,11 @@ def warm_chain(p, parent, rng):
         yield p, parent
 
 
-def check_warm_chain(p, parent, rng, linprog):
+def check_warm_chain(p, parent, rng, linprog, scale=1.0):
     """Warm re-solves after random cuts and bound fixes agree with HiGHS and
     end on the inverse of their basis."""
     for p, r in warm_chain(p, parent, rng):
-        assert_matches_highs(p, r, linprog)
+        assert_matches_highs(p, r, linprog, scale)
         if r.status == sx.OPTIMAL:
             assert_carried_inverse(p, r)
 
@@ -658,26 +661,40 @@ def test_dual_keeps_dual_feasibility(make, seed, linprog, monkeypatch):
     assert ends and all(ends)
 
 
-@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+# Each maker with its costs scaled: Bland's ratio ties and the degenerate-
+# pivot test compare ratios that scale with the costs (with an absolute
+# 1e-9 tie tolerance the 1e-8 cases lost dual feasibility and raised
+# ``SolverLimit``).  Unscaled cases keep the maker's name as their id.
+SCALED_MAKERS = [pytest.param(make, scale, id=make.__name__ if scale == 1.0
+                              else f"{make.__name__}-x{scale:g}")
+                 for scale in (1.0, 1e-8, 1e8)
+                 for make in (bayes_lp, waodag_lp, mixed_lp)]
+
+
+@pytest.mark.parametrize("make, scale", SCALED_MAKERS)
 @pytest.mark.parametrize("seed", COLD_SEEDS)
-def test_bland_cold_solve_matches_highs(make, seed, linprog, monkeypatch):
+def test_bland_cold_solve_matches_highs(make, scale, seed, linprog,
+                                        monkeypatch):
     """With ``BLAND_AFTER`` at 0 every pivot of the dual simplex follows
     Bland's rule from the first one on."""
     monkeypatch.setattr(sx, "BLAND_AFTER", 0)
     ends = dual_ends(monkeypatch)
     p = make(seed)
-    assert_matches_highs(p, sx.solve(p), linprog)
+    p = with_costs(p, scale * p.layout.c)
+    assert_matches_highs(p, sx.solve(p), linprog, scale)
     assert all(ends)
 
 
-@pytest.mark.parametrize("make", [bayes_lp, waodag_lp, mixed_lp])
+@pytest.mark.parametrize("make, scale", SCALED_MAKERS)
 @pytest.mark.parametrize("seed", range(4))
-def test_bland_warm_chain_matches_highs(make, seed, linprog, monkeypatch):
+def test_bland_warm_chain_matches_highs(make, scale, seed, linprog,
+                                        monkeypatch):
     monkeypatch.setattr(sx, "BLAND_AFTER", 0)
     ends = dual_ends(monkeypatch)
     starts = record_starts(monkeypatch)
     p = make(seed)
-    check_warm_chain(p, sx.solve(p), random.Random(seed), linprog)
+    p = with_costs(p, scale * p.layout.c)
+    check_warm_chain(p, sx.solve(p), random.Random(seed), linprog, scale)
     assert ends and all(ends)
     assert (True, False) not in starts
 
@@ -737,10 +754,10 @@ def test_warm_start_not_dual_feasible_never_pivots(tony_lp, linprog,
 def test_failed_slack_certificate_raises(tony_lp, monkeypatch):
     root = sx.solve(tony_lp)
     certificates(monkeypatch, itertools.repeat(False))
-    with pytest.raises(LostDualFeasibility):
+    with pytest.raises(SolverLimit, match="optimum not certified"):
         sx.solve(tony_lp)
     # a warm start that fails its certificate fails from the slack basis too
-    with pytest.raises(LostDualFeasibility):
+    with pytest.raises(SolverLimit, match="optimum not certified"):
         sx.solve(tony_cut(tony_lp), warm=root.basis)
 
 

@@ -1,21 +1,12 @@
 """Weighted AND/OR DAG semantics: validity, propagation, costs, cardinality."""
 
 import math
+import re
 
 import pytest
 
 from abduce import waodag as wd
-from abduce.errors import (
-    CyclicGraph,
-    DanglingEdge,
-    DomainMismatch,
-    NonFiniteCost,
-    NotAnExplanation,
-    NotHypothesis,
-    OracleTooLarge,
-    ParseError,
-    UnknownEvidenceNode,
-)
+from abduce.errors import ModelError
 from abduce.generate import random_waodag
 
 from util import is_strict, strict_graph, tony_graph, truth_key
@@ -41,27 +32,31 @@ class TestValidate:
     def test_cycle_rejected(self):
         w = wd.Waodag.build(["a", "b"], [("a", "b"), ("b", "a")],
                             {"a": wd.OR, "b": wd.OR}, {})
-        with pytest.raises(CyclicGraph):
+        with pytest.raises(ModelError,
+                           match=re.escape("cycle through ['a', 'b']")):
             wd.validate(w)
 
     def test_dangling_edge_rejected(self):
         w = wd.Waodag.build(["a"], [("a", "ghost")], {}, {})
-        with pytest.raises(DanglingEdge):
+        with pytest.raises(ModelError,
+                           match="edge references unknown node 'ghost'"):
             wd.validate(w)
 
     def test_unknown_evidence_rejected(self):
         w = wd.Waodag.build(["a"], [], {}, {}, evidence=["ghost"])
-        with pytest.raises(UnknownEvidenceNode):
+        with pytest.raises(ModelError, match="unknown evidence node 'ghost'"):
             wd.validate(w)
 
     def test_nonfinite_cost_rejected(self):
         w = wd.Waodag.build(["a"], [], {}, {"a": math.inf})
-        with pytest.raises(NonFiniteCost):
+        with pytest.raises(ModelError,
+                           match=re.escape("cost('a', True) = inf is not finite")):
             wd.validate(w)
 
     def test_unlabeled_internal_rejected(self):
         w = wd.Waodag.build(["a", "b"], [("a", "b")], {}, {})
-        with pytest.raises(ParseError):
+        with pytest.raises(ModelError,
+                           match="internal node 'b' has no and/or label"):
             wd.validate(w)
 
     def test_hypothesis_label_ignored(self):
@@ -97,7 +92,7 @@ class TestValidity:
         assert not wd.is_valid(tony, e)
 
     def test_domain_mismatch(self, tony):
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ModelError, match="assignment domain"):
             wd.is_valid(tony, {"Tony-in": True})
 
 
@@ -133,7 +128,7 @@ class TestPropagate:
         assert len(outputs) == 8
 
     def test_non_hypothesis_rejected(self, tony):
-        with pytest.raises(NotHypothesis):
+        with pytest.raises(ModelError, match="not hypothesis nodes"):
             wd.propagate(tony, {"phone-noanswer"})
 
 
@@ -198,7 +193,7 @@ class TestIsCardinal:
         assert wd.is_cardinal(tony, e)
 
     def test_requires_explanation(self, tony):
-        with pytest.raises(NotAnExplanation):
+        with pytest.raises(ModelError, match="needs an explanation"):
             wd.is_cardinal(tony, all_false(tony))
 
 
@@ -221,7 +216,8 @@ class TestOracle:
         assert len(consistent) == 4
 
     def test_size_cap(self, tony):
-        with pytest.raises(OracleTooLarge):
+        with pytest.raises(ModelError,
+                           match="3 hypotheses exceed the oracle limit 2"):
             wd.enumerate_explanations_oracle(tony, limit=2)
 
     def test_sorted_and_deterministic(self, tony):

@@ -21,7 +21,7 @@ from abduce.constraints import (
     LinearConstraint,
     WaodagEncoding,
 )
-from abduce.errors import DomainMismatch
+from abduce.errors import ModelError
 
 
 def bundled_model(name: str):
@@ -66,7 +66,7 @@ def solution_to_truth(enc: WaodagEncoding,
                       s: Dict[str, int]) -> wd.TruthAssignment:
     """The truth assignment of a 0-1 solution of a graph encoding."""
     if set(s) != set(enc.system.variables):
-        raise DomainMismatch("assignment domain != variable set")
+        raise ModelError("assignment domain does not match the variable set")
     return {x: bool(s[x]) for x in enc.system.variables}
 
 
