@@ -18,6 +18,7 @@ from .errors import ModelError
 from .toposort import kahn_order
 
 NORMALIZATION_TOL = 1e-9
+ORACLE_MAX_INSTANTIATIONS = 1 << 20
 
 # variable -> value; conflict-freeness is inherent in the dict shape.
 InstantiationSet = Dict[str, str]
@@ -52,7 +53,7 @@ class BayesianNetwork:
             for p in self.parents[v]:
                 if p not in varset:
                     raise ModelError(f"unknown parent {p!r} of {v!r}")
-        self.topo_order  # raises on a cycle
+        self.topo_order  # raises on a repeated name or a cycle
         for v in self.variables:
             for config in self.parent_configs(v):
                 total = 0.0
@@ -110,25 +111,16 @@ def probability(b: BayesianNetwork, w: InstantiationSet) -> float:
     """Chain-rule joint of a complete instantiation-set."""
     if not is_complete(b, w):
         raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
-    prod = 1.0
-    logsum = 0.0
-    positive = True
-    for v in b.variables:
-        config = tuple(w[p] for p in b.parents[v])
-        p = b.cpt[(v, w[v], config)]
-        prod *= p
-        if p > 0.0:
-            logsum += math.log(p)
-        else:
-            positive = False
-    if prod == 0.0 and positive:
+    factors = [b.cpt[(v, w[v], tuple(w[p] for p in b.parents[v]))]
+               for v in b.variables]
+    prod = math.prod(factors)
+    if prod == 0.0 and all(factors):
         # all factors positive but the running product underflowed
-        return math.exp(logsum)
+        return math.exp(sum(map(math.log, factors)))
     return prod
 
 
-def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet,
-                         limit: int = 1 << 20):
+def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet):
     """All explanations for ``e`` by brute force, most probable first.
 
     Ties broken lexicographically by value indices over the declared
@@ -136,9 +128,9 @@ def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet,
     """
     check_entries(b, e)
     total = math.prod(len(b.ranges[v]) for v in b.variables)
-    if total > limit:
+    if total > ORACLE_MAX_INSTANTIATIONS:
         raise ModelError(f"{total} complete instantiation-sets exceed the "
-                         f"oracle limit {limit}")
+                         f"oracle limit {ORACLE_MAX_INSTANTIATIONS}")
     choices = [(e[v],) if v in e else b.ranges[v] for v in b.variables]
     ranked = []
     for combo in itertools.product(*choices):

@@ -37,7 +37,7 @@ def _jval(obj):
     if isinstance(obj, float):
         return format(obj, ".17g")
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_jval(v)}"
+        items = (f"{json.dumps(k)}: {_jval(v)}"
                  for k, v in sorted(obj.items()))
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
@@ -111,7 +111,7 @@ def abduce():
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 def abduce_solve(model):
     w = model_io.parse_waodag_file(model)
-    enc = encode_waodag(w, essential=True)
+    enc = encode_waodag(w)
     best = search.solve_optimal(enc.system)
     if best is None:
         click.echo("no explanation exists", err=True)
@@ -125,7 +125,7 @@ def abduce_solve(model):
 @click.option("--k", default="all", help="number of solutions, or 'all'")
 def abduce_enumerate(model, mode, k):
     w = model_io.parse_waodag_file(model)
-    enc = encode_waodag(w, essential=True)
+    enc = encode_waodag(w)
     want = _parse_k(k)
     if mode == "cardinal":
         ranked = search.enumerate_cardinal(enc, want)
@@ -139,12 +139,11 @@ def abduce_enumerate(model, mode, k):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["all", "cardinal"]), default="all")
 @click.option("--k", default="all")
-@click.option("--limit", type=int, default=20, help="hypothesis-count cap")
-def abduce_oracle(model, mode, k, limit):
+def abduce_oracle(model, mode, k):
     w = model_io.parse_waodag_file(model)
-    enc = encode_waodag(w, essential=True)
+    enc = encode_waodag(w)
     want = _parse_k(k)
-    listed = wd.enumerate_explanations_oracle(w, limit=limit)
+    listed = wd.enumerate_explanations_oracle(w)
     if mode == "cardinal":
         listed = [(e, c) for e, c in listed if wd.is_cardinal(w, e)]
     for rank, (e, c) in _ranked(listed, want):
@@ -153,12 +152,9 @@ def abduce_oracle(model, mode, k, limit):
 
 @abduce.command("encode")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--essential/--no-essential", default=True,
-              help="include the evidence equality rows")
-def abduce_encode(model, essential):
+def abduce_encode(model):
     w = model_io.parse_waodag_file(model)
-    enc = encode_waodag(w, essential=essential)
-    click.echo(dump(enc.system))
+    click.echo(dump(encode_waodag(w).system))
 
 
 # --- mpe --------------------------------------------------------------------
@@ -169,11 +165,9 @@ def _mpe_encoding(model: str, zero_prob: str, evidence: Optional[str],
     that evidence; ``apply_evidence`` checks its variables and values."""
     b = model_io.parse_bayesnet_file(model)
     e = model_io.parse_evidence_file(evidence_file) if evidence_file else {}
-    if evidence:
-        for var, val in model_io.parse_evidence_spec(evidence).items():
-            if var in e and e[var] != val:
-                raise ModelError(f"conflicting evidence for {var!r}")
-            e[var] = val
+    for var, val in model_io.parse_evidence_spec(evidence or "").items():
+        if e.setdefault(var, val) != val:
+            raise ModelError(f"conflicting evidence for {var!r}")
     return apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e), e
 
 

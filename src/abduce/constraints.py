@@ -7,7 +7,7 @@ each system also holds them once as arrays in variable order (``rows``, each
 relation kept as written, and ``costs``), which ``satisfies``, ``objective``
 and the LP relaxation read and ``extended`` carries on.
 WAODAG graphs encode with one variable per node and the four AND/OR row
-shapes plus optional evidence equalities; the hypotheses determine every
+shapes plus one equality per evidence node; the hypotheses determine every
 other node.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
@@ -153,8 +153,8 @@ class WaodagEncoding:
     waodag: wd.Waodag
 
 
-def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
-    """One variable per node; AND rows, OR rows, optional evidence rows."""
+def encode_waodag(w: wd.Waodag) -> WaodagEncoding:
+    """One variable per node; AND rows, OR rows, evidence equality rows."""
     wd.validate(w)
     rows: List[LinearConstraint] = []
     for q in w.nodes:
@@ -168,9 +168,8 @@ def encode_waodag(w: wd.Waodag, essential: bool = True) -> WaodagEncoding:
         else:
             rows.append(LinearConstraint(terms, GE, 0.0))
             rows += [LinearConstraint(((1.0, q), (-1.0, p)), GE, 0.0) for p in ps]
-    if essential:
-        rows += [LinearConstraint(((1.0, q),), EQ, 1.0)
-                 for q in w.nodes if q in w.evidence]
+    rows += [LinearConstraint(((1.0, q),), EQ, 1.0)
+             for q in w.nodes if q in w.evidence]
     system = ConstraintSystem(
         w.nodes, tuple(rows), {q: w.cost_true[q] for q in w.nodes},
         {q: w.cost_false[q] for q in w.nodes},

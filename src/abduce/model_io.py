@@ -6,7 +6,9 @@ are optional and ignored; omitted costs default to 0.
 
 Bayesian-network schema: {"variables": [{"name", "range"}],
 "cpts": [{"child", "parents", "rows": [{"given", "probs"}]}]}.  Priors use
-"given": [].  A malformed document raises ModelError naming what is wrong.
+"given": [].  Every id, name and value is read as a string, a JSON number
+or true/false as its JSON text.  A malformed document raises ModelError
+naming what is wrong.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ def _list(value: Any, what: str) -> list:
     return value
 
 
-def _name(value: Any, what: str) -> Any:
-    """A JSON string or number.  Strings are interned, so every parse of the
-    same names, and every solution keyed by them, shares one copy of each."""
-    if type(value) is str:
-        return sys.intern(value)
-    if isinstance(value, (list, tuple, dict)):
-        raise ModelError(f"{what} is not a string or number: {value!r}")
-    return value
+def _name(value: Any, what: str) -> str:
+    """``value`` as a name (``1`` is ``"1"``, ``true`` is ``"true"``), interned
+    so that every parse of the same names, and every solution keyed by them,
+    shares one copy of each."""
+    if type(value) is not str:
+        if not isinstance(value, (int, float)):
+            raise ModelError(f"{what} is not a string or number: {value!r}")
+        value = json.dumps(value)
+    return sys.intern(value)
 
 
 def _names(value: Any, what: str) -> tuple:
@@ -139,6 +142,7 @@ def parse_bayesnet(doc: Any) -> bn.BayesianNetwork:
                     f"cpt row for {child!r} gives {len(given)} parent values, "
                     f"expected {len(ps)}")
             for value, p in probs.items():
+                value = _name(value, f"a 'probs' key of {child!r}")
                 try:
                     cpt[(child, value, given)] = float(p)
                 except (TypeError, ValueError):
@@ -158,7 +162,6 @@ def bayesnet_to_doc(b: bn.BayesianNetwork) -> dict:
     for v in b.variables:
         rows = []
         for config in b.parent_configs(v):
-            config = tuple(config)
             rows.append({
                 "given": list(config),
                 "probs": {a: b.cpt[(v, a, config)] for a in b.ranges[v]},
@@ -189,8 +192,9 @@ def parse_evidence_spec(spec: str) -> bn.InstantiationSet:
 
 
 def parse_evidence_file(path: str) -> bn.InstantiationSet:
-    """A JSON object of Var: value pairs; each value is read as a string."""
+    """A JSON object of Var: value pairs; each value is read as a name."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: expected an object of Var: value pairs")
-    return {var: str(val) for var, val in doc.items()}
+    return {_name(var, "evidence variable"):
+            _name(val, f"evidence for {var!r}") for var, val in doc.items()}

@@ -49,6 +49,9 @@ from .errors import InvariantViolation, ModelError, SolverLimit
 
 ALL = "all"
 INT_TOL = 1e-7
+# relative slack of the two checks that one cost is at most another: an LP
+# bound against its integral point, a shrunk point against its optimum
+WEAK_DUALITY_TOL = 1e-9
 NODE_LIMIT = 1_000_000
 
 
@@ -120,7 +123,7 @@ def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
         if frac_j < 0:
             point = (x > 0.5).astype(float)
             cost01 = objective(system, point)
-            if bound > cost01 + 1e-9 * (1.0 + abs(cost01)):
+            if bound > cost01 + WEAK_DUALITY_TOL * (1.0 + abs(cost01)):
                 raise InvariantViolation(
                     f"weak duality violated: bound {bound} > cost {cost01}")
             if not satisfies(system, point):
@@ -203,7 +206,7 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
         if len(base) < size:
             shrunk = truth_to_solution(enc, wd.propagate(w, base))
             price = objective(system, shrunk)
-            if price > cost + 1e-9 * (1.0 + abs(cost)):
+            if price > cost + WEAK_DUALITY_TOL * (1.0 + abs(cost)):
                 raise InvariantViolation(
                     f"shrunk point costs {price} > optimum {cost}")
             s, cost = shrunk, price

@@ -12,11 +12,14 @@ def kahn_order(nodes: Sequence[Hashable],
                edges: Iterable[Tuple[Hashable, Hashable]]) -> List[Hashable]:
     """FIFO Kahn order of ``nodes`` under (parent, child) ``edges``.
 
-    Ready nodes leave in declaration order, children in edge order.  When
-    no order exists, a ModelError names the nodes whose in-degree never
-    reached zero, in declaration order.
+    Ready nodes leave in declaration order, children in edge order.  A
+    ModelError names a node declared twice, or, with no order, the nodes
+    whose in-degree never reached zero, in declaration order.
     """
     indeg: Dict[Hashable, int] = {n: 0 for n in nodes}
+    if len(indeg) < len(nodes):
+        twice = next(n for i, n in enumerate(nodes) if n in nodes[:i])
+        raise ModelError(f"{twice!r} is declared twice")
     children: Dict[Hashable, List[Hashable]] = {n: [] for n in nodes}
     for p, c in edges:
         if c in indeg:

@@ -18,6 +18,7 @@ from .toposort import kahn_order
 
 AND = "and"
 OR = "or"
+ORACLE_MAX_HYPOTHESES = 20
 
 # A truth assignment is a plain dict mapping every node id to a bool.
 TruthAssignment = Dict[str, bool]
@@ -95,7 +96,7 @@ class Waodag:
                     raise ModelError(f"cost({n!r}, {v}) = {val!r} is not finite")
             if self.parents[n] and self.label.get(n) not in (AND, OR):
                 raise ModelError(f"internal node {n!r} has no and/or label")
-        self.topo_order  # raises on a cycle
+        self.topo_order  # raises on a repeated id or a cycle
         return True
 
 
@@ -183,16 +184,16 @@ def is_cardinal(w: Waodag, e: TruthAssignment) -> bool:
     return True
 
 
-def enumerate_explanations_oracle(w: Waodag, limit: int = 20):
+def enumerate_explanations_oracle(w: Waodag):
     """All explanations by brute force over hypothesis subsets.
 
     Sorted by nondecreasing cost; ties broken by the lexicographic order of
     the hypothesis bit vector over the node declaration order.
     """
     hyp_order = [n for n in w.nodes if n in w.hypotheses]
-    if len(hyp_order) > limit:
-        raise ModelError(
-            f"{len(hyp_order)} hypotheses exceed the oracle limit {limit}")
+    if len(hyp_order) > ORACLE_MAX_HYPOTHESES:
+        raise ModelError(f"{len(hyp_order)} hypotheses exceed the oracle "
+                         f"limit {ORACLE_MAX_HYPOTHESES}")
     found = []
     for mask in range(1 << len(hyp_order)):
         chosen = {h for i, h in enumerate(hyp_order) if mask >> i & 1}

@@ -115,6 +115,21 @@ class TestProbability:
         net = single_binary(p=1.0)
         assert bn.probability(net, {"X": "a"}) == 1.0
 
+    def test_zero_entry(self):
+        assert bn.probability(single_binary(p=0.0), {"X": "a"}) == 0.0
+
+    def test_underflow_falls_back_to_the_log_sum(self):
+        # five of the smallest subnormal times 0.3 rounds to one, times 0.5
+        # to zero; the product is 0.75 of it, which exp rounds up to one
+        ps = {"A": 5 * 5e-324, "B": 0.3, "C": 0.5}
+        cpt = {(v, a, ()): p if a == T else 1 - p
+               for v, p in ps.items() for a in (T, F)}
+        net = bn.BayesianNetwork(tuple(ps), dict.fromkeys(ps, (T, F)),
+                                 dict.fromkeys(ps, ()), cpt)
+        assert ps["A"] * ps["B"] * ps["C"] == 0.0
+        got = bn.probability(net, dict.fromkeys(ps, T))
+        assert got == math.exp(sum(map(math.log, ps.values()))) == 5e-324
+
     def test_requires_complete(self, fig):
         with pytest.raises(ModelError, match="incomplete instantiation: covers only"):
             bn.probability(fig, {"A": T})
@@ -186,10 +201,15 @@ class TestMpeOracle:
             assert is_consistent({"B": F}, w)
             assert p == pytest.approx(bn.probability(fig, w), abs=1e-15)
 
-    def test_size_cap(self, fig):
-        with pytest.raises(ModelError, match="8 complete instantiation-sets "
-                                             "exceed the oracle limit 4"):
-            bn.enumerate_mpe_oracle(fig, {}, limit=4)
+    def test_size_cap(self):
+        # refused on the count, before any instantiation is visited
+        names = [f"V{i}" for i in range(21)]
+        net = bn.BayesianNetwork(tuple(names), dict.fromkeys(names, (T, F)),
+                                 dict.fromkeys(names, ()), {})
+        with pytest.raises(ModelError, match="2097152 complete instantiation-"
+                                             "sets exceed the oracle limit "
+                                             "1048576"):
+            bn.enumerate_mpe_oracle(net, {})
 
 
 # --- random-instance properties -----------------------------------------------

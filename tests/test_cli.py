@@ -1,6 +1,7 @@
 """Command-line interface: parsing, JSON-line output, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -75,11 +76,19 @@ class TestParseWaodag:
         assert list(first) == list(second)
         assert all(a is b for a, b in zip(first, second))
 
-    def test_ids_that_are_not_strings_kept(self):
+    def test_numeric_ids_are_read_as_strings(self):
         w = model_io.parse_waodag({"nodes": [{"id": 1}, {"id": 2, "label": "or"}],
                                    "edges": [[1, 2]]})
-        assert w.nodes == (1, 2)
-        assert w.edges == ((1, 2),)
+        assert w.nodes == ("1", "2")
+        assert w.edges == (("1", "2"),)
+
+    def test_repeated_id_rejected(self):
+        doc = {"nodes": [{"id": "a", "cost_true": 1},
+                         {"id": "a", "cost_true": 5},
+                         {"id": "e", "label": "or"}],
+               "edges": [["a", "e"]], "evidence": ["e"]}
+        with pytest.raises(ModelError, match="'a' is declared twice"):
+            model_io.parse_waodag(doc)
 
 
 class TestParseBayesnet:
@@ -108,6 +117,42 @@ class TestParseBayesnet:
         b = model_io.parse_bayesnet_file(FIG)
         again = model_io.parse_bayesnet(model_io.bayesnet_to_doc(b))
         assert again == b
+
+    def test_repeated_variable_rejected(self):
+        prior = {"given": [], "probs": {"a": 0.5, "b": 0.5}}
+        doc = {"variables": [{"name": "X", "range": ["a", "b"]}] * 2,
+               "cpts": [{"child": "X", "parents": [], "rows": [prior]}]}
+        with pytest.raises(ModelError, match="'X' is declared twice"):
+            model_io.parse_bayesnet(doc)
+
+
+def test_every_parsed_name_is_a_str(tmp_path):
+    """Numbers, true/false and strings all come back as interned strings,
+    a number or literal as its JSON text."""
+    w = model_io.parse_waodag(
+        {"nodes": [{"id": 1}, {"id": 2.5}, {"id": True, "label": "and"},
+                   {"id": "x", "label": "or"}],
+         "edges": [[1, True], [2.5, True], [True, "x"]], "evidence": ["x"]})
+    assert w.nodes == ("1", "2.5", "true", "x")
+    names = [*w.nodes, *(q for edge in w.edges for q in edge), *w.evidence]
+    b = model_io.parse_bayesnet(
+        {"variables": [{"name": 7, "range": [1, False]},
+                       {"name": "Y", "range": ["y", 0.5]}],
+         "cpts": [{"child": 7, "parents": [],
+                   "rows": [{"given": [], "probs": {"1": 0.5, "false": 0.5}}]},
+                  {"child": "Y", "parents": [7], "rows": [
+                      {"given": [1], "probs": {"y": 0.5, "0.5": 0.5}},
+                      {"given": [False], "probs": {"y": 1.0, "0.5": 0.0}}]}]})
+    assert b.ranges == {"7": ("1", "false"), "Y": ("y", "0.5")}
+    names += [*b.variables, *(x for r in b.ranges.values() for x in r),
+              *(p for ps in b.parents.values() for p in ps),
+              *(x for key in b.cpt for x in (key[0], key[1], *key[2]))]
+    evidence = tmp_path / "e.json"
+    evidence.write_text(json.dumps({"7": False, "Y": "y"}))
+    e = model_io.parse_evidence_file(str(evidence))
+    assert e == {"7": "false", "Y": "y"}
+    names += [*e, *e.values()]
+    assert all(type(q) is str and q is sys.intern(q) for q in names)
 
 
 def test_evidence_spec_parsing():
@@ -156,8 +201,13 @@ class TestAbduceCommands:
         out = run_ok(runner, abduce_cli, ["encode", TONY])
         assert out == (data_dir / "tony_encoding.txt").read_text()
 
-    def test_no_essential_drops_evidence_row(self, runner):
-        out = run_ok(runner, abduce_cli, ["encode", TONY, "--no-essential"])
+    def test_no_essential_drops_evidence_row(self, runner, tmp_path):
+        # the evidence rows come from the graph's evidence alone
+        doc = json.loads(bundled_model("tony.waodag.json").read_text())
+        doc["evidence"] = []
+        model = tmp_path / "free.json"
+        model.write_text(json.dumps(doc))
+        out = run_ok(runner, abduce_cli, ["encode", str(model)])
         assert len(out.strip().splitlines()) == 6
 
 
@@ -375,8 +425,29 @@ class TestExitCodes:
          "node id is not a string or number: ['x']"),
         (abduce_cli, {"nodes": [{"id": "b"}, {"id": "c"}], "evidence": "bc"},
          "'evidence' is not a list: 'bc'"),
+        (abduce_cli, {"nodes": [{"id": None}]},
+         "node id is not a string or number: None"),
+        (abduce_cli, {"nodes": [{"cost_true": 1}]},
+         "node entry without 'id': {'cost_true': 1}"),
+        (abduce_cli, [], "expected an object with a 'nodes' list"),
+        (mpe_cli, [], "expected an object with a 'variables' list"),
+        (abduce_cli, {"nodes": [{"id": "a"}], "edges": [["a"]]},
+         "edge is not a [parent, child] pair: ['a']"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "Z", "parents": [], "rows": []}]},
+         "cpt for unknown variable 'Z'"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                       {"given": ["t"], "probs": {"t": 1.0}}]}]},
+         "cpt row for 'A' gives 1 parent values, expected 0"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                       {"given": [], "probs": {"t": "x", "f": 0.5}}]}]},
+         "P(A=t | ()) = 'x' is not a number"),
     ], ids=["nodes", "edges", "variables", "rows", "probs", "cost", "id",
-            "evidence-string"])
+            "evidence-string", "null-id", "entry-key", "waodag-document",
+            "bayesnet-document", "edge-pair", "cpt-child", "given-length",
+            "probability-number"])
     def test_malformed_model_is_exit_1(self, runner, tmp_path, cli, doc,
                                        message):
         model = tmp_path / "bad.json"
@@ -414,6 +485,28 @@ class TestExitCodes:
         result = runner.invoke(cli, ["solve", str(model), *args])
         assert result.exit_code == 1
         assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cli, doc, args, field, want", [
+        (abduce_cli, {"nodes": [{"id": 1, "cost_true": 3},
+                                {"id": "a", "cost_true": 2},
+                                {"id": "e", "label": "or"}],
+                      "edges": [[1, "e"], ["a", "e"]], "evidence": ["e"]},
+         [], "hypotheses", ["a"]),
+        (mpe_cli, {"variables": [{"name": "X", "range": [1, 2]}],
+                   "cpts": [{"child": "X", "parents": [], "rows": [
+                       {"given": [], "probs": {"1": 0.3, "2": 0.7}}]}]},
+         [], "instantiation", {"X": "2"}),
+        (mpe_cli, {"variables": [{"name": 7, "range": ["a", "b"]}],
+                   "cpts": [{"child": 7, "parents": [], "rows": [
+                       {"given": [], "probs": {"a": 0.3, "b": 0.7}}]}]},
+         ["--evidence", "7=a"], "instantiation", {"7": "a"}),
+    ], ids=["mixed-ids", "numeric-range", "numeric-variable"])
+    def test_numeric_names_solve(self, runner, tmp_path, cli, doc, args,
+                                 field, want):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        [line] = json_lines(run_ok(runner, cli, ["solve", str(model), *args]))
+        assert line[field] == want
 
     def test_solver_limit_is_exit_2(self, runner, monkeypatch):
         def boom(*args, **kwargs):

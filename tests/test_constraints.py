@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,17 +93,18 @@ class TestSatisfies:
 
 class TestEncodeWaodag:
     def test_tony_sizes(self, tony):
-        enc = encode_waodag(tony, essential=True)
+        enc = encode_waodag(tony)
         assert len(enc.system.variables) == 5
         assert len(enc.system.constraints) == 7
 
     def test_hypotheses_only_graph_has_no_rows(self):
         w = wd.Waodag.build(["a", "b"], [], {}, {"a": 1, "b": 2})
-        enc = encode_waodag(w, essential=False)
+        enc = encode_waodag(w)
         assert enc.system.constraints == ()
 
-    def test_essential_flag_controls_evidence_rows(self, tony):
-        assert len(encode_waodag(tony, essential=False).system.constraints) == 6
+    def test_evidence_rows_come_from_the_evidence(self, tony):
+        free = replace(tony, evidence=frozenset())
+        assert len(encode_waodag(free).system.constraints) == 6
 
     def test_01_points_are_exactly_the_explanations(self, tony):
         enc = encode_waodag(tony)

@@ -1,6 +1,7 @@
 """Branch and bound, exclusion/cardinal cuts, and the three enumeration modes."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -52,7 +53,8 @@ def oracle_stream(w):
 
 def _random_graph_system(seed, essential):
     w = random_waodag(seed, n_hypotheses=3 + seed, n_internal=5 + seed)
-    return encode_waodag(w, essential).system
+    return encode_waodag(w if essential else
+                         replace(w, evidence=frozenset())).system
 
 
 # systems small enough for all_01_points, keyed by test id

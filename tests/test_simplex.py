@@ -739,6 +739,27 @@ def test_failed_warm_certificate_retries_from_slack(tony_lp, linprog,
     assert_matches_highs(p, r, linprog)
 
 
+@pytest.mark.parametrize("error", [SolverLimit, np.linalg.LinAlgError],
+                         ids=["solver-limit", "singular"])
+def test_warm_start_that_raises_retries_from_slack(tony_lp, linprog,
+                                                   monkeypatch, error):
+    root = sx.solve(tony_lp)
+    p = tony_cut(tony_lp)
+    solve_from = sx._solve_from
+    starts = []
+
+    def raising(p, warm):
+        starts.append(warm is not None)
+        if warm is not None:
+            raise error("forced for the test")
+        return solve_from(p, warm)
+
+    monkeypatch.setattr(sx, "_solve_from", raising)
+    r = sx.solve(p, warm=root.basis)
+    assert starts == [True, False]
+    assert_matches_highs(p, r, linprog)
+
+
 def test_warm_start_not_dual_feasible_never_pivots(tony_lp, linprog,
                                                   monkeypatch):
     root = sx.solve(tony_lp)

@@ -63,6 +63,11 @@ class TestValidate:
         w = wd.Waodag.build(["a"], [], {"a": wd.AND}, {})
         wd.validate(w)
 
+    def test_repeated_id_rejected(self):
+        w = wd.Waodag.build(["a", "b", "a"], [], {}, {"a": 1.0})
+        with pytest.raises(ModelError, match="'a' is declared twice"):
+            wd.validate(w)
+
     def test_tony_structure(self, tony):
         assert tony.hypotheses == set(HYPS)
         assert tony.parents["phone-disconnected"] == ("Tony-in",
@@ -215,10 +220,12 @@ class TestOracle:
         consistent = [e for e, _ in listed if e["Tony-out"]]
         assert len(consistent) == 4
 
-    def test_size_cap(self, tony):
+    def test_size_cap(self):
+        # refused on the count, before any subset is visited
+        w = wd.Waodag.build([f"h{i}" for i in range(21)], [], {}, {})
         with pytest.raises(ModelError,
-                           match="3 hypotheses exceed the oracle limit 2"):
-            wd.enumerate_explanations_oracle(tony, limit=2)
+                           match="21 hypotheses exceed the oracle limit 20"):
+            wd.enumerate_explanations_oracle(w)
 
     def test_sorted_and_deterministic(self, tony):
         a = wd.enumerate_explanations_oracle(tony)
