@@ -5,7 +5,8 @@ determining scope: the variables whose 0-1 values fix all the others.  The
 encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
 each system also holds them once as arrays in variable order (``rows``, each
 relation kept as written, and ``costs``), which ``satisfies``, ``objective``
-and the LP relaxation read and ``extended`` carries on.
+and the LP relaxation read and ``extended`` carries on.  A solved point is an
+``Assignment``: the system's ``index`` and one byte per variable.
 WAODAG graphs encode with one variable per node and the four AND/OR row
 shapes plus one equality per evidence node; the hypotheses determine every
 other node.
@@ -19,9 +20,10 @@ fix each conditional to whether its head and configuration are active.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -39,9 +41,33 @@ GE = ">="
 EQ = "="
 
 # variable -> 0/1
-Assignment01 = Dict[str, int]
+Assignment01 = Mapping[str, int]
 # a 0-1 point: an assignment, or its values in the system's variable order
 Point = Union[Assignment01, np.ndarray]
+
+
+class Assignment(Mapping[str, int]):
+    """A read-only 0-1 assignment: a system's shared ``index`` and one byte
+    per column, iterated in variable order.  It equals the dict of the same
+    entries."""
+
+    __slots__ = ("index", "data")
+
+    def __init__(self, index: Mapping[str, int], data: bytes):
+        self.index = index
+        self.data = data
+
+    def __getitem__(self, x: str) -> int:
+        return self.data[self.index[x]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __repr__(self) -> str:
+        return f"Assignment({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -111,9 +137,17 @@ def _point(system: ConstraintSystem, s: Point) -> np.ndarray:
         if s.shape != (len(system.variables),):
             raise ModelError(f"point of shape {s.shape} != variable count")
         return s
+    if isinstance(s, Assignment) and s.index == system.index:
+        return np.frombuffer(s.data, dtype=np.uint8).astype(float)
     if set(s) != set(system.variables):
         raise ModelError("assignment domain does not match the variable set")
     return np.array([s[x] for x in system.variables], dtype=float)
+
+
+def packed(system: ConstraintSystem, s: Point) -> Assignment:
+    """``s`` as an ``Assignment`` over the system's variables."""
+    return Assignment(system.index,
+                      _point(system, s).astype(np.uint8).tobytes())
 
 
 def objective(system: ConstraintSystem, s: Point) -> float:
@@ -177,7 +211,8 @@ def encode_waodag(w: wd.Waodag) -> WaodagEncoding:
     return WaodagEncoding(system, w)
 
 
-def truth_to_solution(enc: WaodagEncoding, e: wd.TruthAssignment) -> Assignment01:
+def truth_to_solution(enc: WaodagEncoding,
+                      e: wd.TruthAssignment) -> Dict[str, int]:
     if set(e) != set(enc.waodag.nodes):
         raise ModelError("assignment domain does not match the node set")
     return {q: int(e[q]) for q in enc.waodag.nodes}
@@ -228,6 +263,7 @@ def encode_bayesnet(b: bn.BayesianNetwork,
     links: List[LinearConstraint] = []
     psi_true: Dict[str, float] = dict.fromkeys(indicators, 0.0)
     conditionals: Dict[str, CondVar] = {}
+    names = Counter(indicators)  # each must name one variable of the system
     for v in b.variables:
         for a in b.ranges[v]:
             head = indicator_name(v, a)
@@ -244,6 +280,7 @@ def encode_bayesnet(b: bn.BayesianNetwork,
                     p = PROB_FLOOR
                 psi_true[name] = -math.log(p)
                 conditionals[name] = CondVar(v, a, config_pairs)
+                names[name] += 1
                 upsilon.append(name)
                 terms = ((1.0, name), (-1.0, head))
                 terms += tuple((-1.0, indicator_name(p_, c_))
@@ -253,6 +290,10 @@ def encode_bayesnet(b: bn.BayesianNetwork,
             links.append(LinearConstraint(
                 ((1.0, head),) + tuple((-1.0, q) for q in upsilon), EQ, 0.0))
 
+    shared = next((x for x, n in names.items() if n > 1), None)
+    if shared is not None:
+        raise ModelError(f"two network entries are both named {shared!r}; "
+                         "rename a variable or a value")
     variables = tuple(psi_true)  # the indicators, then the conditionals
     system = ConstraintSystem(variables, tuple(rows + links), psi_true,
                               dict.fromkeys(variables, 0.0), indicators)
@@ -291,12 +332,12 @@ def solution_to_instantiation(enc: BayesEncoding,
 
 
 def instantiation_to_solution(enc: BayesEncoding,
-                              w: bn.InstantiationSet) -> Assignment01:
+                              w: bn.InstantiationSet) -> Dict[str, int]:
     if not bn.is_complete(enc.network, w):
         raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
-    s: Assignment01 = {indicator_name(var, a): int(w[var] == a)
-                       for var in enc.network.variables
-                       for a in enc.network.ranges[var]}
+    s: Dict[str, int] = {indicator_name(var, a): int(w[var] == a)
+                         for var in enc.network.variables
+                         for a in enc.network.ranges[var]}
     s.update((name, int(w[info.head_var] == info.head_value and
                         all(w[p] == v for p, v in info.config)))
              for name, info in enc.conditionals.items())

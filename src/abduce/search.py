@@ -1,22 +1,25 @@
-"""Optimal 0-1 solutions and k-best enumeration via cutting planes.
+"""Optimal 0-1 solutions and k-best enumeration by best-first region search.
 
-Best-first branch and bound over the LP relaxation finds optima: it pops
-nodes in order of their LP bound, and the first node whose LP optimum is
-integral is optimal, because that point costs its bound and every bound left
-in the heap is at least as high.  The enumeration loop holds one LP problem,
-whose system is the searched one: it adds one cut row per emitted solution,
-as written, and re-solves, warm-starting the root from the previous basis;
-branch and bound checks and prices each point on that same system.
-``solve_optimal`` is the same loop stopped at k=1.  Every cut and
-every branching choice ranges over the system's determining scope
-(``ConstraintSystem.scope``): the hypotheses of a graph encoding, the
-indicators of a Bayesian encoding, all variables of a hand-built system.
-Because the scope fixes every other variable, an exclusion cut over it
-removes exactly one 0-1 point; over an empty scope it is ``0 <= -1``, whose
-LP is infeasible, so the stream ends where no alternative is left.  The three
-modes differ only in the cut shape and in how a solution is reported, and
-all three search the encoding as it is: cardinal mode shrinks each optimum
-to a cardinal one of the same cost before it reports and cuts it.
+A region is the LP relaxation with some variables fixed by their bounds
+(``simplex.with_bounds``); no row is ever added to it.  One heap holds the
+open regions, keyed by a lower bound on every 0-1 point inside.  A region
+enters unsolved, under its parent's bound and with its parent's basis; when
+it pops it is solved from that basis and pushed again under its own bound.
+A solved region with a fractional optimum branches on its most fractional
+scope variable (on any variable once the scope is integral).  One with an
+integral optimum pops only when no lower key is left, so its point is the
+cheapest not yet emitted: it is checked, priced and emitted, and the rest
+of the region is split over its free scope variables f1..fm, child i fixing
+f1..f(i-1) to the point's values and flipping fi.  The determining scope
+(``ConstraintSystem.scope``: a graph's hypotheses, a network's indicators,
+every variable of a hand-built system) fixes all other variables, so the
+children hold every point of the region but the emitted one, and each point
+comes out once, in cost order.  ``solve_optimal``, ``enumerate_best`` and
+``enumerate_permissible`` are this search, stopped at k.  Cardinal mode keeps
+a cut loop: each rank is the first point of the region search after one
+cardinal cut per earlier rank, solved from the previous root's basis, and is
+shrunk to a cardinal optimum before it is reported and cut.  A cardinal cut
+with no true hypothesis is ``0 <= -1``, so the stream ends there.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from . import bayes as bn
 from . import simplex as sx
 from . import waodag as wd
 from .constraints import (
+    Assignment,
     Assignment01,
     BayesEncoding,
     ConstraintSystem,
@@ -41,6 +45,7 @@ from .constraints import (
     WaodagEncoding,
     is_permissible,
     objective,
+    packed,
     satisfies,
     solution_to_instantiation,
     truth_to_solution,
@@ -52,24 +57,16 @@ INT_TOL = 1e-7
 # relative slack of the two checks that one cost is at most another: an LP
 # bound against its integral point, a shrunk point against its optimum
 WEAK_DUALITY_TOL = 1e-9
-NODE_LIMIT = 1_000_000
+NODE_LIMIT = 1_000_000  # LP solves per region search
 
 
 @dataclass
 class RankedSolution:
     rank: int
-    assignment: Assignment01
+    assignment: Assignment
     cost: float
     probability: Optional[float] = None
     instantiation: Optional[bn.InstantiationSet] = None
-
-
-def exclusion_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
-    """Row excluding exactly the pattern of ``s`` over ``scope``; over an
-    empty scope it is ``0 <= -1``, which excludes everything."""
-    terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in scope)
-    ones = sum(1 for x in scope if s[x])
-    return LinearConstraint(terms, LE, float(ones - 1))
 
 
 def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
@@ -93,86 +90,89 @@ def _pick_fractional(x, indices: np.ndarray) -> int:
     return frac_j
 
 
-def _branch_and_bound(p: sx.LpProblem, warm: Optional[sx.BasisState]):
-    """Returns (assignment or None, cost or None, root LpResult); the point
-    is checked and priced on ``p.system``.
-
-    Nodes pop in order of their LP bound.  A node's bound is at most the cost
-    of every 0-1 point inside its variable bounds, and branching splits a
-    node's 0-1 points between its two children, so the heap always covers
-    every 0-1 point of the root.  The first integral node popped therefore
-    costs no more than any of them, and the search returns its point.
-    Branches on the most fractional scope variable; a fractional variable
-    outside the scope is branched on only when the whole scope is integral.
-    """
+def _regions(p: sx.LpProblem,
+             root: sx.LpResult) -> Iterator[Tuple[Assignment, float]]:
+    """The 0-1 points of ``p`` in cost order, each checked and priced on
+    ``p.system``; ``root`` is the LP result of ``p`` itself."""
     system = p.system
     scope = np.array([system.index[x] for x in system.scope], dtype=np.intp)
-    root = sx.solve(p, warm=warm)
-    if root.status != sx.OPTIMAL:
-        return None, None, root
     counter = itertools.count()
-    heap: List[Tuple[float, int, sx.LpProblem, sx.LpResult]] = [
-        (root.objective, next(counter), p, root)]
-    nodes = 0
+    # (key, tie, region, its LpResult once solved, else its parent's basis)
+    heap: List[tuple] = ([(root.objective, next(counter), p, root)]
+                         if root.status == sx.OPTIMAL else [])
+    solves = 0
     while heap:
-        bound, _, node_p, res = heapq.heappop(heap)
+        bound, _, p, res = heapq.heappop(heap)
+        if isinstance(res, sx.BasisState):
+            solves += 1
+            if solves > NODE_LIMIT:
+                raise SolverLimit(
+                    f"the region search exceeded {NODE_LIMIT} LP solves")
+            res = sx.solve(p, warm=res)
+            if res.status == sx.OPTIMAL:
+                heapq.heappush(heap, (res.objective, next(counter), p, res))
+            continue
         x = res.x
-        frac_j = _pick_fractional(x, scope)
-        if frac_j < 0:
-            frac_j = _pick_fractional(x, np.arange(len(x)))
-        if frac_j < 0:
-            point = (x > 0.5).astype(float)
-            cost01 = objective(system, point)
-            if bound > cost01 + WEAK_DUALITY_TOL * (1.0 + abs(cost01)):
+        j = _pick_fractional(x, scope)
+        if j < 0:
+            j = _pick_fractional(x, np.arange(len(x)))
+        if j >= 0:
+            fixes = [(j, 0.0), (j, 1.0)]
+        else:
+            point = x > 0.5
+            cost = objective(system, point)
+            if bound > cost + WEAK_DUALITY_TOL * (1.0 + abs(cost)):
                 raise InvariantViolation(
-                    f"weak duality violated: bound {bound} > cost {cost01}")
+                    f"weak duality violated: bound {bound} > cost {cost}")
             if not satisfies(system, point):
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
-            return (dict(zip(system.variables, point.astype(int).tolist())),
-                    cost01, root)
-        nodes += 1
-        if nodes > NODE_LIMIT:
-            raise SolverLimit(f"branch and bound exceeded {NODE_LIMIT} nodes")
-        for v in (0, 1):
-            child_p = sx.with_bounds(node_p, frac_j, float(v), float(v))
-            child = sx.solve(child_p, warm=res.basis)
-            if child.status == sx.OPTIMAL:
-                heapq.heappush(heap, (child.objective, next(counter),
-                                      child_p, child))
-    return None, None, root
+            yield packed(system, point), cost
+            free = scope[p.lower[scope] < p.upper[scope]]
+            at = point[free].astype(float)
+            fixes = [(free[:i + 1], np.append(at[:i], 1.0 - at[i]))
+                     for i in range(len(free))]
+        for cols, values in fixes:
+            heapq.heappush(heap, (bound, next(counter),
+                                  sx.with_bounds(p, cols, values, values),
+                                  res.basis))
 
 
-def _cut_loop(system: ConstraintSystem, k, cut, finish):
-    """Shared enumeration loop: solve, emit, cut over the scope, re-solve
-    warm.  ``finish(rank, s, cost)`` reports, where ``cost`` is the point's
-    cost under the searched system (cut rows carry no cost, so every
-    extension prices points alike); ``cut(s, scope)`` builds the row from
-    the reported assignment, which only cardinal mode changes."""
-    p, warm = sx.relax(system), None
-    out: List[RankedSolution] = []
+def _enumerate(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
+    """The first k points of the region search on ``system``, each reported
+    by ``finish(rank, s, cost)``."""
+    p = sx.relax(system)
+    ranks = itertools.count(1) if k == ALL else range(1, int(k) + 1)
+    return [finish(rank, s, cost)
+            for rank, (s, cost) in zip(ranks, _regions(p, sx.solve(p)))]
+
+
+def _cut_loop(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
+    """Cardinal mode's loop: the region search's first point, reported by
+    ``finish(rank, s, cost)``, then a cardinal cut built from the report."""
+    p, warm, out = sx.relax(system), None, []
     want = math.inf if k == ALL else int(k)
     while len(out) < want:
-        s, cost01, root = _branch_and_bound(p, warm)
-        if s is None:
+        if out:
+            p = sx.add_row(p, cardinal_cut(out[-1].assignment, system.scope))
+            warm = root.basis
+        root = sx.solve(p, warm=warm)
+        found = next(_regions(p, root), None)
+        if found is None:
             break
-        out.append(finish(len(out) + 1, s, cost01))
-        if len(out) == want:
-            break
-        p = sx.add_row(p, cut(out[-1].assignment, system.scope))
-        warm = root.basis
+        out.append(finish(len(out) + 1, *found))
     return out
 
 
 def solve_optimal(system: ConstraintSystem) -> Optional[RankedSolution]:
     """Minimum-cost 0-1 solution, or None when no 0-1 solution exists."""
-    ranked = _cut_loop(system, 1, exclusion_cut, RankedSolution)
+    ranked = _enumerate(system, 1, RankedSolution)
     return ranked[0] if ranked else None
 
 
 def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
     """The k best 0-1 solutions in cost order; k may be ALL."""
-    return _cut_loop(system, k, exclusion_cut, RankedSolution)
+    return _enumerate(system, k, RankedSolution)
 
 
 def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
@@ -209,10 +209,10 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
             if price > cost + WEAK_DUALITY_TOL * (1.0 + abs(cost)):
                 raise InvariantViolation(
                     f"shrunk point costs {price} > optimum {cost}")
-            s, cost = shrunk, price
+            s, cost = packed(system, shrunk), price
         return RankedSolution(rank, s, cost)
 
-    return _cut_loop(system, k, cardinal_cut, finish)
+    return _cut_loop(system, k, finish)
 
 
 def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
@@ -233,4 +233,4 @@ def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
                               probability=bn.probability(enc.network, w),
                               instantiation=w)
 
-    return _cut_loop(enc.system, k, exclusion_cut, finish)
+    return _enumerate(enc.system, k, finish)

@@ -147,7 +147,9 @@ def lu_solve(binv: np.ndarray, r: np.ndarray, trans: int = 0) -> np.ndarray:
     return r @ binv if trans else binv @ r
 
 
-def with_bounds(p: LpProblem, j: int, lo: float, hi: float) -> LpProblem:
+def with_bounds(p: LpProblem, j, lo, hi) -> LpProblem:
+    """``p`` with the bounds of column ``j``, or of each column of an index
+    array ``j``, set to ``lo`` and ``hi`` (scalars, or arrays like ``j``)."""
     q = LpProblem(p.system, p.lower.copy(), p.upper.copy())
     q.lower[j], q.upper[j] = lo, hi
     q.layout = p.layout  # same system: share it

@@ -364,6 +364,15 @@ def test_floats_serialized_with_17_digits(runner):
     assert format(record["probability"], ".17g") in out
 
 
+COLLIDING_NETWORK = {
+    "variables": [{"name": "A", "range": ["b=c", "x"]},
+                  {"name": "A=b", "range": ["c", "y"]}],
+    "cpts": [{"child": "A", "parents": [], "rows": [
+                 {"given": [], "probs": {"b=c": 0.9, "x": 0.1}}]},
+             {"child": "A=b", "parents": [], "rows": [
+                 {"given": [], "probs": {"c": 0.9, "y": 0.1}}]}]}
+
+
 class TestExitCodes:
     def test_bad_json_is_exit_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -507,6 +516,18 @@ class TestExitCodes:
         model.write_text(json.dumps(doc))
         [line] = json_lines(run_ok(runner, cli, ["solve", str(model), *args]))
         assert line[field] == want
+
+    @pytest.mark.parametrize("command", ["enumerate", "encode"])
+    def test_shared_entry_name_is_exit_1(self, runner, tmp_path, command):
+        """``A`` = ``b=c`` and ``A=b`` = ``c`` would both be the indicator
+        ``A=b=c``; one variable for the two gave 2 ranks of the 4."""
+        model = tmp_path / "colliding.json"
+        model.write_text(json.dumps(COLLIDING_NETWORK))
+        result = runner.invoke(mpe_cli, [command, str(model)])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: two network entries are both named "
+                                 "'A=b=c'; rename a variable or a value\n")
+        assert result.stdout == ""
 
     def test_solver_limit_is_exit_2(self, runner, monkeypatch):
         def boom(*args, **kwargs):

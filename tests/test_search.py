@@ -1,4 +1,4 @@
-"""Branch and bound, exclusion/cardinal cuts, and the three enumeration modes."""
+"""The region search, exclusion/cardinal cuts, and the three enumeration modes."""
 
 import random
 from dataclasses import replace
@@ -26,6 +26,8 @@ from abduce.generate import random_bayesnet, random_evidence, random_waodag
 from util import (
     all_01_points,
     assert_streams_match,
+    cut_loop,
+    exclusion_cut,
     group_stream,
     holds,
     inst_key,
@@ -71,14 +73,13 @@ SCOPE_SYSTEMS = {
 
 class TestExclusionCut:
     def test_mixed_pattern(self):
-        cut = search.exclusion_cut({"x1": 1, "x2": 0, "x3": 1},
-                                   ("x1", "x2", "x3"))
+        cut = exclusion_cut({"x1": 1, "x2": 0, "x3": 1}, ("x1", "x2", "x3"))
         assert cut.terms == ((1.0, "x1"), (-1.0, "x2"), (1.0, "x3"))
         assert cut.relation == "<="
         assert cut.rhs == 1.0
 
     def test_singleton_scope(self):
-        cut = search.exclusion_cut({"x1": 1}, ("x1",))
+        cut = exclusion_cut({"x1": 1}, ("x1",))
         assert cut.terms == ((1.0, "x1"),)
         assert cut.rhs == 0.0
 
@@ -87,8 +88,8 @@ class TestExclusionCut:
         # leaves 0 <= -1, and the LP with that row is infeasible
         system = encode_waodag(tony).system
         none = {x: 0 for x in system.variables}
-        for cut in (search.exclusion_cut({}, ()),
-                    search.exclusion_cut(none, ()),
+        for cut in (exclusion_cut({}, ()),
+                    exclusion_cut(none, ()),
                     search.cardinal_cut(none, system.scope),
                     search.cardinal_cut({}, ())):
             assert (cut.terms, cut.relation, cut.rhs) == ((), "<=", -1.0)
@@ -104,7 +105,7 @@ class TestExclusionCut:
         assert len(patterns) == len(before)
         # ... so a cut over the scope alone removes just its own point
         for target in (before[0], before[-1]):
-            cut = search.exclusion_cut(target, system.scope)
+            cut = exclusion_cut(target, system.scope)
             after = all_01_points(system.extended([cut]))
             assert len(before) - len(after) == 1
             assert target in before and target not in after
@@ -115,7 +116,7 @@ class TestExclusionCut:
         names = tuple(f"x{j}" for j in range(8))
         for _ in range(20):
             s = {x: rng.randint(0, 1) for x in names}
-            cut = search.exclusion_cut(s, names)
+            cut = exclusion_cut(s, names)
             assert not holds(cut, s)
             for _ in range(30):
                 other = {x: rng.randint(0, 1) for x in names}
@@ -195,12 +196,12 @@ class TestSolveOptimal:
     def test_node_limit(self, tony, monkeypatch):
         enc = encode_waodag(strict_graph(tony, 0.5))
         # cutting the root's integral optimum leaves a fractional LP optimum
-        cut = search.exclusion_cut(
+        cut = exclusion_cut(
             truth_to_solution(enc, wd.propagate(tony, {"Tony-out"})),
             enc.system.variables)
         monkeypatch.setattr(search, "NODE_LIMIT", 0)
         with pytest.raises(SolverLimit,
-                           match="branch and bound exceeded 0 nodes"):
+                           match="region search exceeded 0 LP solves"):
             search.solve_optimal(enc.system.extended([cut]))
 
 
@@ -367,14 +368,14 @@ class TestEnumerateCardinal:
         w = free_rider_graph()
         enc = encode_waodag(w)
         points = []
-        branch_and_bound = search._branch_and_bound
+        regions = search._regions
 
-        def spied(p, warm):
-            found = branch_and_bound(p, warm)
-            points.append(found[0])
-            return found
+        def spied(p, root):
+            for found in regions(p, root):
+                points.append(found[0])
+                yield found
 
-        monkeypatch.setattr(search, "_branch_and_bound", spied)
+        monkeypatch.setattr(search, "_regions", spied)
         prices = _count_calls(monkeypatch, "objective", objective)
         ranked = search.enumerate_cardinal(enc, search.ALL)
         assert points[0]["z"] == 1
@@ -483,7 +484,7 @@ def test_bound_audit_respects_subproblem_optimum(tony, monkeypatch):
     # a cut system keeps fractional LP optima, so branching actually happens
     first = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
     system = enc.system.extended(
-        [search.exclusion_cut(first, enc.system.variables)])
+        [exclusion_cut(first, enc.system.variables)])
     points = all_01_points(system)
     solve = sx.solve
     checked = []
@@ -561,7 +562,8 @@ def test_one_point_check_per_rank(mode, instance, monkeypatch):
 
 
 def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
-    """A stream that reaches k adds one cut row per rank before the k-th."""
+    """ALL and permissible mode split regions and add no row; cardinal mode
+    adds one cut row per rank before the k-th."""
     add_row = sx.add_row
     calls = []
 
@@ -571,13 +573,75 @@ def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
 
     monkeypatch.setattr(sx, "add_row", counted)
     enc = encode_waodag(tony)
-    for k, run in ((3, lambda: search.enumerate_best(enc.system, 3)),
-                   (2, lambda: search.enumerate_cardinal(enc, 2)),
-                   (4, lambda: search.enumerate_permissible(
-                       apply_evidence(encode_bayesnet(fig), {"C": T}), 4))):
+    for k, rows, run in (
+            (3, 0, lambda: search.enumerate_best(enc.system, 3)),
+            (2, 1, lambda: search.enumerate_cardinal(enc, 2)),
+            (4, 0, lambda: search.enumerate_permissible(
+                apply_evidence(encode_bayesnet(fig), {"C": T}), 4))):
         calls.clear()
         assert len(run()) == k
-        assert len(calls) == k - 1
+        assert len(calls) == rows
+
+
+# --- region search against the exclusion-cut loop -----------------------------
+
+def point_stream(pairs, scope):
+    return [(tuple(s[x] for x in scope), cost) for s, cost in pairs]
+
+
+def assert_matches_cut_loop(ranked, system, k):
+    assert_streams_match(
+        point_stream(((r.assignment, r.cost) for r in ranked), system.scope),
+        point_stream(cut_loop(system, k), system.scope), 1e-9,
+        truncated=k != search.ALL)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_region_search_matches_cut_loop_all_mode(seed):
+    enc = encode_waodag(random_waodag(seed, 8, 25))
+    assert_matches_cut_loop(search.enumerate_best(enc.system, 8), enc.system, 8)
+    # k=all: the cut loop's 2^8-row systems are slow, so a smaller graph
+    small = encode_waodag(random_waodag(seed, 6, 14)).system
+    assert_matches_cut_loop(search.enumerate_best(small, search.ALL), small,
+                            search.ALL)
+    # every explanation once: the oracle's length
+    assert len(search.enumerate_best(enc.system, search.ALL)) == \
+        len(wd.enumerate_explanations_oracle(enc.waodag))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_region_search_matches_cut_loop_permissible_mode(seed):
+    net = random_bayesnet(seed, 7, 2)
+    e = random_evidence(seed, net, 2)
+    enc = apply_evidence(encode_bayesnet(net), e)
+    for k in (8, search.ALL):
+        ranked = search.enumerate_permissible(enc, k)
+        assert_matches_cut_loop(ranked, enc.system, k)
+    assert len(ranked) == len(bn.enumerate_mpe_oracle(net, e))
+
+
+# --- the assignment a solution holds ------------------------------------------
+
+def test_assignment_is_a_read_only_mapping(tony, fig):
+    enc = encode_waodag(tony)
+    best = search.solve_optimal(enc.system)
+    s = best.assignment
+    assert isinstance(s, constraints.Assignment)
+    want = truth_to_solution(enc, wd.propagate(tony, {"Tony-out"}))
+    assert s == want and want == s
+    assert list(s) == list(enc.system.variables)
+    assert dict(s) == want
+    assert list(s.items()) == list(want.items())
+    assert s.get("nothing") is None
+    with pytest.raises(TypeError):
+        s["Tony-in"] = 1
+    assert objective(enc.system, s) == objective(enc.system, want)
+    assert satisfies(enc.system, s)
+    benc = apply_evidence(encode_bayesnet(fig), {"C": T})
+    r = search.enumerate_permissible(benc, 1)[0]
+    assert isinstance(r.assignment, constraints.Assignment)
+    assert constraints.is_permissible(benc, r.assignment)
+    assert objective(benc.system, r.assignment) == r.cost
 
 
 # --- invariant checks ---------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
-Brute-force enumeration of 0-1 points, a term-by-term row check, tie-aware
-stream comparison, builders for the two worked example models used
+Brute-force enumeration of 0-1 points, a term-by-term row check, exclusion
+cuts and a reference k-best loop built on them, tie-aware stream comparison,
+builders for the two worked example models used
 throughout the tests, and small model-level helpers the library itself does
 not need.
 """
@@ -14,9 +15,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from abduce import bayes as bn
+from abduce import search
+from abduce import simplex as sx
 from abduce import waodag as wd
 from abduce.constraints import (
     FEASIBILITY_TOL,
+    LE,
     ConstraintSystem,
     LinearConstraint,
     WaodagEncoding,
@@ -131,6 +135,28 @@ def holds(row: LinearConstraint, s: Dict[str, float],
     return abs(lhs - row.rhs) <= tol
 
 
+def exclusion_cut(s, scope: Sequence[str]) -> LinearConstraint:
+    """Row excluding exactly the pattern of ``s`` over ``scope``; over an
+    empty scope it is ``0 <= -1``, which excludes everything."""
+    terms = tuple((1.0, x) if s[x] else (-1.0, x) for x in scope)
+    ones = sum(1 for x in scope if s[x])
+    return LinearConstraint(terms, LE, float(ones - 1))
+
+
+def cut_loop(system: ConstraintSystem, k) -> List[Tuple[object, float]]:
+    """Reference k-best (k may be ``search.ALL``) by exclusion cuts: the
+    region search's first point, then one ``sx.add_row`` cut over the scope
+    per emitted point and a new search; (assignment, cost) pairs."""
+    p, out = sx.relax(system), []
+    while k == search.ALL or len(out) < k:
+        found = next(search._regions(p, sx.solve(p)), None)
+        if found is None:
+            break
+        out.append(found)
+        p = sx.add_row(p, exclusion_cut(found[0], system.scope))
+    return out
+
+
 def group_stream(pairs: Sequence[Tuple[object, float]],
                  tol: float) -> List[Tuple[float, frozenset]]:
     """Collapse a cost-sorted (key, cost) stream into per-cost-level sets."""
@@ -145,14 +171,19 @@ def group_stream(pairs: Sequence[Tuple[object, float]],
 
 def assert_streams_match(got: Sequence[Tuple[object, float]],
                          want: Sequence[Tuple[object, float]],
-                         tol: float) -> None:
-    """Equal length, costs pairwise within tol, tie-aware set equality."""
+                         tol: float, truncated: bool = False) -> None:
+    """Equal length, costs pairwise within tol, tie-aware set equality.
+    With ``truncated`` both are k-best prefixes, and the last cost group is
+    exempt from set equality: k may cut through a tie group at different
+    members."""
     assert len(got) == len(want), f"{len(got)} solutions, expected {len(want)}"
     for (_, cg), (_, cw) in zip(got, want):
         assert abs(cg - cw) <= tol, f"cost {cg} vs {cw}"
     g_groups = group_stream(got, tol)
     w_groups = group_stream(want, tol)
     assert len(g_groups) == len(w_groups)
+    if truncated:
+        g_groups, w_groups = g_groups[:-1], w_groups[:-1]
     for (cg, kg), (cw, kw) in zip(g_groups, w_groups):
         assert abs(cg - cw) <= tol
         assert kg == kw, f"tie group at cost {cg}: {kg} != {kw}"
