@@ -165,7 +165,7 @@ def _mpe_encoding(model: str, zero_prob: str, evidence: Optional[str],
     that evidence; ``apply_evidence`` checks its variables and values."""
     b = model_io.parse_bayesnet_file(model)
     e = model_io.parse_evidence_file(evidence_file) if evidence_file else {}
-    for var, val in model_io.parse_evidence_spec(evidence or "").items():
+    for var, val in model_io.parse_evidence_spec(evidence or "", b).items():
         if e.setdefault(var, val) != val:
             raise ModelError(f"conflicting evidence for {var!r}")
     return apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e), e
@@ -246,9 +246,9 @@ def gen():
 
 @gen.command("waodag")
 @click.option("--seed", type=int, required=True)
-@click.option("--hypotheses", type=int, default=5)
-@click.option("--internal", type=int, default=7)
-@click.option("--max-cost", type=int, default=10)
+@click.option("--hypotheses", type=click.IntRange(min=1), default=5)
+@click.option("--internal", type=click.IntRange(min=1), default=7)
+@click.option("--max-cost", type=click.IntRange(min=1), default=10)
 @click.option("--strict", is_flag=True, default=False)
 def gen_waodag(seed, hypotheses, internal, max_cost, strict):
     w = generate.random_waodag(seed, hypotheses, internal, max_cost, strict)
@@ -257,9 +257,9 @@ def gen_waodag(seed, hypotheses, internal, max_cost, strict):
 
 @gen.command("bn")
 @click.option("--seed", type=int, required=True)
-@click.option("--variables", type=int, default=4)
-@click.option("--max-range", type=int, default=3)
-@click.option("--max-parents", type=int, default=2)
+@click.option("--variables", type=click.IntRange(min=0), default=4)
+@click.option("--max-range", type=click.IntRange(min=2), default=3)
+@click.option("--max-parents", type=click.IntRange(min=0), default=2)
 @click.option("--allow-extreme", is_flag=True, default=False,
               help="let CPT entries approach 0 and 1")
 def gen_bn(seed, variables, max_range, max_parents, allow_extreme):

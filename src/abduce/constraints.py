@@ -1,7 +1,9 @@
 """Linear 0-1 constraint systems and the two model encoders.
 
 A system is (variables, rows, per-variable true/false costs) plus its
-determining scope: the variables whose 0-1 values fix all the others.  The
+determining groups: groups of variables whose 0-1 values fix all the others,
+each either one variable or an exactly-one set (its variables sum to 1 at
+every 0-1 point), and flattened into the determining scope.  The
 encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
 each system also holds them once as arrays in variable order (``rows``, each
 relation kept as written, and ``costs``), which ``satisfies``, ``objective``
@@ -9,17 +11,21 @@ and the LP relaxation read and ``extended`` carries on.  A solved point is an
 ``Assignment``: the system's ``index`` and one byte per variable.
 WAODAG graphs encode with one variable per node and the four AND/OR row
 shapes plus one equality per evidence node; the hypotheses determine every
-other node.
+other node, and each hypothesis is a group of its own.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
-conditionals, and conditional true-costs are negative natural logs of the
-entries.  These rows alone make every 0-1 point permissible: the indicators
-fix each conditional to whether its head and configuration are active.
+conditionals, each network variable's indicators are one group, and
+conditional true-costs are negative natural logs of the entries.  These rows
+alone make every 0-1 point permissible: the indicators fix each conditional
+to whether its head and configuration are active.  Both name functions
+intern what they build, so every encoding of the same network shares one
+copy of each name.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -98,13 +104,20 @@ class ConstraintSystem:
     constraints: Tuple[LinearConstraint, ...]
     psi_true: Mapping[str, float]
     psi_false: Mapping[str, float]
-    # variables whose 0-1 values fix every other variable; empty means all
-    determining: Tuple[str, ...] = ()
+    # groups whose 0-1 values fix every other variable, each one variable or
+    # an exactly-one set; empty means each variable alone
+    determining: Tuple[Tuple[str, ...], ...] = ()
+
+    @property
+    def groups(self) -> Tuple[Tuple[str, ...], ...]:
+        """The determining groups: the search splits a region over these."""
+        return self.determining or tuple((x,) for x in self.variables)
 
     @property
     def scope(self) -> Tuple[str, ...]:
-        """The determining variables: cuts and branching range over these."""
-        return self.determining or self.variables
+        """The determining variables, group by group: cuts and branching
+        range over these."""
+        return tuple(x for g in self.determining for x in g) or self.variables
 
     # Array forms, built once per system on first use and handed on by
     # ``extended``; ``dataclasses.replace`` drops them.
@@ -207,7 +220,7 @@ def encode_waodag(w: wd.Waodag) -> WaodagEncoding:
     system = ConstraintSystem(
         w.nodes, tuple(rows), {q: w.cost_true[q] for q in w.nodes},
         {q: w.cost_false[q] for q in w.nodes},
-        tuple(q for q in w.nodes if q in w.hypotheses))
+        tuple((q,) for q in w.nodes if q in w.hypotheses))
     return WaodagEncoding(system, w)
 
 
@@ -235,16 +248,16 @@ class BayesEncoding:
 
 
 def indicator_name(var: str, value: str) -> str:
-    return f"{var}={value}"
+    return sys.intern(f"{var}={value}")
 
 
 def conditional_name(var: str, value: str,
                      config: Tuple[Tuple[str, str], ...]) -> str:
     head = indicator_name(var, value)
     if not config:
-        return f"q[{head}]"
+        return sys.intern(f"q[{head}]")
     cfg = ",".join(indicator_name(p, v) for p, v in config)
-    return f"q[{head}|{cfg}]"
+    return sys.intern(f"q[{head}|{cfg}]")
 
 
 def encode_bayesnet(b: bn.BayesianNetwork,
@@ -255,11 +268,11 @@ def encode_bayesnet(b: bn.BayesianNetwork,
     "clamp" costs them as -ln(PROB_FLOOR), "reject" raises.
     """
     bn.validate(b)
-    indicators = tuple(indicator_name(v, a)
-                       for v in b.variables for a in b.ranges[v])
-    rows = [LinearConstraint(tuple((1.0, indicator_name(v, a))
-                                   for a in b.ranges[v]), EQ, 1.0)
-            for v in b.variables]
+    groups = tuple(tuple(indicator_name(v, a) for a in b.ranges[v])
+                   for v in b.variables)
+    indicators = tuple(x for g in groups for x in g)
+    rows = [LinearConstraint(tuple((1.0, x) for x in g), EQ, 1.0)
+            for g in groups]
     links: List[LinearConstraint] = []
     psi_true: Dict[str, float] = dict.fromkeys(indicators, 0.0)
     conditionals: Dict[str, CondVar] = {}
@@ -296,7 +309,7 @@ def encode_bayesnet(b: bn.BayesianNetwork,
                          "rename a variable or a value")
     variables = tuple(psi_true)  # the indicators, then the conditionals
     system = ConstraintSystem(variables, tuple(rows + links), psi_true,
-                              dict.fromkeys(variables, 0.0), indicators)
+                              dict.fromkeys(variables, 0.0), groups)
     return BayesEncoding(system, b, conditionals)
 
 

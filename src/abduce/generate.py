@@ -30,9 +30,11 @@ def random_waodag(seed: int, n_hypotheses: int = 5, n_internal: int = 7,
         for p in parents:
             edges.append((p, q))
         label[q] = rng.choice([wd.AND, wd.OR])
-    # evidence from the last layer so it depends on real structure
+    # evidence from the last layer so it depends on real structure; the
+    # count is drawn as it always was, then capped by the pool
+    pool = internal[n_internal // 2:] or internal
     n_ev = rng.randint(1, min(2, n_internal))
-    evidence = rng.sample(internal[n_internal // 2:] or internal, n_ev)
+    evidence = rng.sample(pool, min(n_ev, len(pool)))
     cost_true = {}
     cost_false = {}
     for q in nodes:

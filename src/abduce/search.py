@@ -1,25 +1,34 @@
 """Optimal 0-1 solutions and k-best enumeration by best-first region search.
 
 A region is the LP relaxation with some variables fixed by their bounds
-(``simplex.with_bounds``); no row is ever added to it.  One heap holds the
-open regions, keyed by a lower bound on every 0-1 point inside.  A region
-enters unsolved, under its parent's bound and with its parent's basis; when
-it pops it is solved from that basis and pushed again under its own bound.
-A solved region with a fractional optimum branches on its most fractional
-scope variable (on any variable once the scope is integral).  One with an
-integral optimum pops only when no lower key is left, so its point is the
-cheapest not yet emitted: it is checked, priced and emitted, and the rest
-of the region is split over its free scope variables f1..fm, child i fixing
-f1..f(i-1) to the point's values and flipping fi.  The determining scope
-(``ConstraintSystem.scope``: a graph's hypotheses, a network's indicators,
-every variable of a hand-built system) fixes all other variables, so the
-children hold every point of the region but the emitted one, and each point
-comes out once, in cost order.  ``solve_optimal``, ``enumerate_best`` and
-``enumerate_permissible`` are this search, stopped at k.  Cardinal mode keeps
-a cut loop: each rank is the first point of the region search after one
-cardinal cut per earlier rank, solved from the previous root's basis, and is
-shrunk to a cardinal optimum before it is reported and cut.  A cardinal cut
-with no true hypothesis is ``0 <= -1``, so the stream ends there.
+(``simplex.with_bounds``); no row is ever added to it.  The root region is
+the [0, 1] relaxation with each variable that a one-variable equality row
+fixes at 0 or 1 (an evidence row) fixed by its bounds as well, so no split
+undoes evidence.  One heap holds the open regions, keyed by a lower bound on
+every 0-1 point inside.  A region enters unsolved, under its parent's bound
+and with its parent's basis; when it pops it is solved from that basis and
+pushed again under its own bound.  A solved region with a fractional optimum
+branches on its most fractional scope variable (on any variable once the
+scope is integral).  One with an integral optimum pops only when no lower
+key is left, so its point is the cheapest not yet emitted: it is checked,
+priced and emitted, and the rest of the region is split over the
+determining groups g1..gm (``ConstraintSystem.groups``: a graph's
+hypotheses one by one, a network's variables, each variable of a hand-built
+system), child i fixing g1..g(i-1) to the point's values and excluding gi's
+value (Nilsson 1998, k-best MAP by partitioning).  A group's active variable
+is the one variable of a singleton, or the one at 1 in an exactly-one group,
+and excluding the value fixes it at its other bound: a singleton flips, a
+network variable loses its value.  A group with no other value left in the
+region gets no child: its active variable is fixed, or every other variable
+of its exactly-one set is fixed at 0.  The groups fix
+all other variables, so the children hold every point of the region but the
+emitted one, and each point comes out once, in cost order.
+``solve_optimal``, ``enumerate_best`` and ``enumerate_permissible`` are this
+search, stopped at k.  Cardinal mode keeps a cut loop: each rank is the first
+point of the region search after one cardinal cut per earlier rank, solved
+from the previous root's basis, and is shrunk to a cardinal optimum before it
+is reported and cut.  A cardinal cut with no true hypothesis is ``0 <= -1``,
+so the stream ends there.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .constraints import (
     Assignment01,
     BayesEncoding,
     ConstraintSystem,
+    EQ,
     LE,
     LinearConstraint,
     WaodagEncoding,
@@ -96,6 +106,12 @@ def _regions(p: sx.LpProblem,
     ``p.system``; ``root`` is the LP result of ``p`` itself."""
     system = p.system
     scope = np.array([system.index[x] for x in system.scope], dtype=np.intp)
+    sizes = np.array([len(g) for g in system.groups], dtype=np.intp)
+    single = sizes == 1
+    starts = np.cumsum(sizes) - sizes
+    # per scope column: its group's position, and whether that is a singleton
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    alone = np.repeat(single, sizes)
     counter = itertools.count()
     # (key, tie, region, its LpResult once solved, else its parent's basis)
     heap: List[tuple] = ([(root.objective, next(counter), p, root)]
@@ -128,20 +144,44 @@ def _regions(p: sx.LpProblem,
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
             yield packed(system, point), cost
-            free = scope[p.lower[scope] < p.upper[scope]]
-            at = point[free].astype(float)
-            fixes = [(free[:i + 1], np.append(at[:i], 1.0 - at[i]))
-                     for i in range(len(free))]
+            at = point[scope]
+            on = at | alone
+            if not np.array_equal(group_of[on], np.arange(len(sizes))):
+                raise ModelError("a determining group of more than one "
+                                 "variable is not an exactly-one set")
+            active = scope[on]
+            flip = 1.0 - at[on]
+            # a group with no other value left in the region gets no child:
+            # its active variable is fixed, or it is an exactly-one set whose
+            # other variables are all fixed at 0
+            left = (p.lower[active] < p.upper[active]) & \
+                (single | (np.add.reduceat(p.upper[scope], starts) > 1))
+            fixes = [(np.append(scope[:starts[g]], active[g]),
+                      np.append(at[:starts[g]], flip[g]))
+                     for g in np.flatnonzero(left)]
         for cols, values in fixes:
             heapq.heappush(heap, (bound, next(counter),
                                   sx.with_bounds(p, cols, values, values),
                                   res.basis))
 
 
+def _root(system: ConstraintSystem) -> sx.LpProblem:
+    """The [0, 1] relaxation of ``system``, with each column that a
+    one-variable equality row ``c x = b`` fixes at ``b / c`` in {0, 1} fixed
+    there by its bounds too."""
+    A, rel, b = system.rows
+    nonzero = A != 0
+    rows = np.flatnonzero((rel == EQ) & (nonzero.sum(axis=1) == 1))
+    _, cols = np.nonzero(nonzero[rows])  # one per row, in row order
+    at = b[rows] / A[rows, cols]
+    pin = (at == 0.0) | (at == 1.0)
+    return sx.with_bounds(sx.relax(system), cols[pin], at[pin], at[pin])
+
+
 def _enumerate(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
     """The first k points of the region search on ``system``, each reported
     by ``finish(rank, s, cost)``."""
-    p = sx.relax(system)
+    p = _root(system)
     ranks = itertools.count(1) if k == ALL else range(1, int(k) + 1)
     return [finish(rank, s, cost)
             for rank, (s, cost) in zip(ranks, _regions(p, sx.solve(p)))]
@@ -150,7 +190,7 @@ def _enumerate(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
 def _cut_loop(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
     """Cardinal mode's loop: the region search's first point, reported by
     ``finish(rank, s, cost)``, then a cardinal cut built from the report."""
-    p, warm, out = sx.relax(system), None, []
+    p, warm, out = _root(system), None, []
     want = math.inf if k == ALL else int(k)
     while len(out) < want:
         if out:
@@ -221,9 +261,10 @@ def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
     The encoding's own rows make every 0-1 point permissible: an inactive
     head's conditionals sum to zero, and the active configuration's
     conditional is forced to one, which zeroes its siblings.  So the search
-    runs on the encoding as it is, and each point is only checked.  The
-    indicators are the determining scope, so each emitted solution is a
-    distinct instantiation-set.
+    runs on the encoding as it is, and each point is only checked.  Each
+    network variable's indicators are one determining group, so each
+    emitted solution is a distinct instantiation-set, and a split excludes
+    one variable's value at a time.
     """
     def finish(rank, s, cost):
         if not is_permissible(enc, s):

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, JSON-line output, determinism, exit codes."""
 
+import hashlib
 import json
 import sys
 
@@ -13,6 +14,7 @@ from abduce.cli import gen as gen_cli
 from abduce.cli import mpe as mpe_cli
 from abduce.constraints import encode_waodag
 from abduce.errors import ModelError, SolverLimit
+from abduce.generate import random_bayesnet, random_waodag
 
 from util import bundled_model
 
@@ -36,6 +38,16 @@ def json_lines(output):
 
 
 # --- model file parsing -------------------------------------------------------
+
+# a variable named A=b beside A, so that A=b=d may read as A = b=d
+NAME_WITH_EQUALS = {
+    "variables": [{"name": "A", "range": ["x", "y"]},
+                  {"name": "A=b", "range": ["c", "d"]}],
+    "cpts": [{"child": "A", "parents": [],
+              "rows": [{"given": [], "probs": {"x": 0.9, "y": 0.1}}]},
+             {"child": "A=b", "parents": [],
+              "rows": [{"given": [], "probs": {"c": 0.8, "d": 0.2}}]}]}
+
 
 class TestParseWaodag:
     def test_bundled_tony(self):
@@ -164,6 +176,22 @@ def test_evidence_spec_parsing():
         model_io.parse_evidence_spec("C=true,C=false")
 
 
+def test_evidence_spec_resolved_against_the_network():
+    b = model_io.parse_bayesnet(NAME_WITH_EQUALS)
+    assert model_io.parse_evidence_spec("A=b=d, A=x", b) == \
+        {"A=b": "d", "A": "x"}
+    with pytest.raises(ModelError, match="unknown variable 'Z'"):
+        model_io.parse_evidence_spec("Z=d", b)
+    with pytest.raises(ModelError, match=r"value A=b=e not in range"):
+        model_io.parse_evidence_spec("A=b=e", b)
+    ambiguous = json.loads(
+        json.dumps(NAME_WITH_EQUALS).replace('"x"', '"b=c"'))
+    with pytest.raises(ModelError, match="'A=b=c' reads as 'A' = 'b=c' and "
+                                         "as 'A=b' = 'c'"):
+        model_io.parse_evidence_spec("A=b=c",
+                                     model_io.parse_bayesnet(ambiguous))
+
+
 # --- abduce commands ----------------------------------------------------------
 
 class TestAbduceCommands:
@@ -278,6 +306,19 @@ class TestMpeCommands:
                                          "--evidence-file", str(evidence)])
         assert result.exit_code == 1
 
+    def test_evidence_names_a_variable_with_an_equals_sign(self, runner,
+                                                          tmp_path):
+        model = tmp_path / "m.bn.json"
+        model.write_text(json.dumps(NAME_WITH_EQUALS))
+        evidence = tmp_path / "e.json"
+        evidence.write_text(json.dumps({"A=b": "d"}))
+        spec = run_ok(runner, mpe_cli,
+                      ["solve", str(model), "--evidence", "A=b=d"])
+        assert json_lines(spec)[0]["instantiation"] == {"A": "x", "A=b": "d"}
+        assert spec == run_ok(runner, mpe_cli, ["solve", str(model),
+                                                "--evidence-file",
+                                                str(evidence)])
+
     @pytest.mark.parametrize("text, message", [
         ('["C", "true"]', "expected an object of Var: value pairs"),
         ('{"C": ', "line 1 column 7"),
@@ -315,6 +356,52 @@ class TestGenCommands:
                                    ["oracle", str(model), "--k", "all"]))
         assert [pytest.approx(r["cost"], abs=1e-6) for r in oracle] == \
             [r["cost"] for r in solver]
+
+    @pytest.mark.parametrize("args, message", [
+        (["waodag", "--internal", "0"], "'--internal': 0 is not in the range"),
+        (["waodag", "--hypotheses", "0"], "'--hypotheses': 0"),
+        (["waodag", "--max-cost", "0"], "'--max-cost': 0"),
+        (["bn", "--max-range", "1"], "'--max-range': 1"),
+        (["bn", "--max-parents", "-1"], "'--max-parents': -1"),
+        (["bn", "--variables", "-1"], "'--variables': -1"),
+    ])
+    def test_bad_arguments_name_the_option(self, runner, args, message):
+        result = runner.invoke(gen_cli, args + ["--seed", "0"])
+        assert result.exit_code == 1
+        assert message in result.stderr
+        assert not isinstance(result.exception, ValueError)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_internal_nodes(self, runner, seed):
+        """Half of two internal nodes is one: the evidence pool's size caps
+        the evidence count."""
+        out = run_ok(runner, gen_cli,
+                     ["waodag", "--seed", str(seed), "--internal", "2"])
+        assert json.loads(out)["evidence"] == ["n1"]
+
+
+def _digest(docs):
+    return hashlib.sha256(
+        json.dumps(docs, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, size, digest", [
+    ("waodag", (5, 7), "c7a70fb1ac7e0104"),
+    ("waodag", (8, 25), "aa5423910f024cef"),
+    ("waodag", (20, 60), "76b10fc111635fb3"),
+    ("bn", (4, 3), "0ea97a57fbfd636e"),
+    ("bn", (10, 2), "467a96b14ca30164"),
+])
+def test_generated_instances_do_not_change(kind, size, digest):
+    """The benchmark's instances come from the generators, so seeds 0-3 at
+    its sizes give the same models, to the bit, from release to release."""
+    if kind == "waodag":
+        docs = [model_io.waodag_to_doc(random_waodag(s, *size))
+                for s in range(4)]
+    else:
+        docs = [model_io.bayesnet_to_doc(random_bayesnet(s, *size))
+                for s in range(4)]
+    assert _digest(docs) == digest
 
 
 # --- determinism and exit codes -----------------------------------------------

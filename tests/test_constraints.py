@@ -64,6 +64,17 @@ class TestObjective:
             objective(enc.system, {"Tony-in": 1})
 
 
+def test_hand_built_groups_are_its_variables():
+    names = ("a", "b", "c")
+    system = ConstraintSystem(names, (), dict.fromkeys(names, 1.0),
+                              dict.fromkeys(names, 0.0))
+    assert system.groups == (("a",), ("b",), ("c",))
+    assert system.scope == names
+    grouped = replace(system, determining=(("c",), ("a", "b")))
+    assert grouped.groups == (("c",), ("a", "b"))
+    assert grouped.scope == ("c", "a", "b")
+
+
 class TestSatisfies:
     def test_explanation_satisfies(self, tony):
         enc = encode_waodag(tony)
@@ -121,6 +132,12 @@ class TestEncodeWaodag:
         assert enc.system.psi_true["Tony-in"] == 5
         assert enc.system.psi_false["Tony-in"] == 0
 
+    def test_each_hypothesis_is_a_group(self, tony):
+        system = encode_waodag(tony).system
+        hyps = ("Tony-in", "Tony-sleeping", "Tony-out")
+        assert system.groups == tuple((h,) for h in hyps)
+        assert system.scope == hyps
+
 
 class TestTruthConversions:
     def test_all_ones(self, tony):
@@ -176,6 +193,25 @@ class TestEncodeBayesnet:
         for name in enc.system.scope:
             assert enc.system.psi_true[name] == 0.0
             assert enc.system.psi_false[name] == 0.0
+
+    def test_each_variable_is_a_group(self, fig):
+        enc = apply_evidence(encode_bayesnet(fig), {"C": T})
+        want = tuple(tuple(indicator_name(v, a) for a in fig.ranges[v])
+                     for v in fig.variables)
+        assert enc.system.groups == want
+        assert enc.system.scope == tuple(x for g in want for x in g)
+
+    def test_encodings_share_their_names(self):
+        """The generator builds each network's names afresh, and the
+        encoder interns every name it builds, so two encodings of equal
+        networks hold the same name objects."""
+        one, two = (encode_bayesnet(random_bayesnet(3, 5, 3))
+                    for _ in range(2))
+        assert one.system.variables == two.system.variables
+        assert all(x is y for x, y in zip(one.system.variables,
+                                          two.system.variables))
+        assert all(x is y for x, y in zip(one.conditionals,
+                                          two.conditionals))
 
     def test_size_formulas_on_random_networks(self):
         for seed in range(10):
