@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from . import bayes as bn
 from . import waodag as wd
@@ -174,13 +174,13 @@ def bayesnet_to_doc(b: bn.BayesianNetwork) -> dict:
     }
 
 
-def parse_evidence_spec(spec: str, b: Optional[bn.BayesianNetwork] = None
+def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
                         ) -> bn.InstantiationSet:
-    """Comma-separated Var=value pairs.  Without a network each item splits
-    at its first ``=``.  With one, an item splits at the one ``=`` that
-    leaves a variable of ``b`` on the left and a value in its range on the
-    right, so ``A=b=d`` names the variable ``A=b`` when only that reading
-    holds; an item with no such split, or with more than one, is refused."""
+    """Comma-separated Var=value pairs, read against ``b``.  An item splits
+    at the one ``=`` that leaves a variable of ``b`` on the left and a value
+    in its range on the right, so ``A=b=d`` names the variable ``A=b`` when
+    only that reading holds; an item with no such split, or with more than
+    one, is refused."""
     out: bn.InstantiationSet = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -190,19 +190,17 @@ def parse_evidence_spec(spec: str, b: Optional[bn.BayesianNetwork] = None
             raise ModelError(f"evidence item {chunk!r} is not Var=value")
         splits = [(chunk[:i].strip(), chunk[i + 1:].strip())
                   for i, c in enumerate(chunk) if c == "="]
-        if b is not None:
-            fits = [(var, val) for var, val in splits
-                    if val in b.ranges.get(var, ())]
-            if not fits:
-                # no reading fits: the check of the first says what is wrong
-                bn.check_entries(b, dict(splits[:1]))
-            if len(fits) > 1:
-                raise ModelError(
-                    f"evidence item {chunk!r} reads as "
-                    + " and as ".join(f"{var!r} = {val!r}" for var, val in fits)
-                    + "; give it in --evidence-file")
-            splits = fits
-        var, val = splits[0]
+        fits = [(var, val) for var, val in splits
+                if val in b.ranges.get(var, ())]
+        if not fits:
+            # no reading fits: the check of the first says what is wrong
+            bn.check_entries(b, dict(splits[:1]))
+        if len(fits) > 1:
+            raise ModelError(
+                f"evidence item {chunk!r} reads as "
+                + " and as ".join(f"{var!r} = {val!r}" for var, val in fits)
+                + "; give it in --evidence-file")
+        var, val = fits[0]
         if var in out and out[var] != val:
             raise ModelError(f"conflicting evidence for {var!r}")
         out[var] = val

@@ -167,13 +167,13 @@ def test_every_parsed_name_is_a_str(tmp_path):
     assert all(type(q) is str and q is sys.intern(q) for q in names)
 
 
-def test_evidence_spec_parsing():
-    assert model_io.parse_evidence_spec("C=true, A=false") == \
+def test_evidence_spec_parsing(fig):
+    assert model_io.parse_evidence_spec("C=true, A=false", fig) == \
         {"C": "true", "A": "false"}
     with pytest.raises(ModelError, match="'C' is not Var=value"):
-        model_io.parse_evidence_spec("C")
+        model_io.parse_evidence_spec("C", fig)
     with pytest.raises(ModelError, match="conflicting evidence for 'C'"):
-        model_io.parse_evidence_spec("C=true,C=false")
+        model_io.parse_evidence_spec("C=true,C=false", fig)
 
 
 def test_evidence_spec_resolved_against_the_network():
