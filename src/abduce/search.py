@@ -145,20 +145,26 @@ def _regions(p: sx.LpProblem,
                     "integral LP optimum violates the system")
             yield packed(system, point), cost
             at = point[scope]
-            on = at | alone
-            if not np.array_equal(group_of[on], np.arange(len(sizes))):
+            pos = np.flatnonzero(at | alone)  # each group's active column
+            if not np.array_equal(group_of[pos], np.arange(len(sizes))):
                 raise ModelError("a determining group of more than one "
                                  "variable is not an exactly-one set")
-            active = scope[on]
-            flip = 1.0 - at[on]
+            # the scope with each group's active column moved to its front,
+            # so child g fixes a prefix: the groups before g, then g's active
+            order = np.arange(len(scope))
+            order[pos], order[starts] = starts, pos
+            ordered, at = scope[order], at[order].astype(float)
+            active = ordered[starts]
             # a group with no other value left in the region gets no child:
             # its active variable is fixed, or it is an exactly-one set whose
             # other variables are all fixed at 0
             left = (p.lower[active] < p.upper[active]) & \
                 (single | (np.add.reduceat(p.upper[scope], starts) > 1))
-            fixes = [(np.append(scope[:starts[g]], active[g]),
-                      np.append(at[:starts[g]], flip[g]))
-                     for g in np.flatnonzero(left)]
+            ends = starts[left] + 1
+            vals = np.tile(at, (len(ends), 1))
+            vals[np.arange(len(ends)), ends - 1] = 1.0 - at[ends - 1]
+            fixes = [(ordered[:e], v[:e])
+                     for e, v in zip(ends.tolist(), vals)]
         for cols, values in fixes:
             heapq.heappush(heap, (bound, next(counter),
                                   sx.with_bounds(p, cols, values, values),
