@@ -185,7 +185,8 @@ def _mpe_model_options(f):
     f = click.option("--zero-prob", type=click.Choice(["clamp", "reject"]),
                      default="clamp")(f)
     f = click.option("--evidence", default=None,
-                     help="comma-separated Var=value pairs")(f)
+                     help="comma-separated Var=value pairs; give a name "
+                          "or value that holds ',' in --evidence-file")(f)
     f = click.option("--evidence-file",
                      type=click.Path(exists=True, dir_okay=False),
                      default=None)(f)

@@ -2,8 +2,9 @@
 
 A system is (variables, rows, per-variable true/false costs) plus its
 determining groups: groups of variables whose 0-1 values fix all the others,
-each either one variable or an exactly-one set (its variables sum to 1 at
-every 0-1 point), and flattened into the determining scope.  The
+each either one variable or an exactly-one set (the terms of one row
+``c x1 + ... + c xn = c``, c != 0: one of them at 1 pins the rest at 0),
+and flattened into the determining scope.  The
 encoders emit rows as named ``LinearConstraint`` terms, which ``dump`` prints;
 each system also holds them once as arrays in variable order (``rows``, each
 relation kept as written, and ``costs``), which ``satisfies``, ``objective``
@@ -105,7 +106,8 @@ class ConstraintSystem:
     psi_true: Mapping[str, float]
     psi_false: Mapping[str, float]
     # groups whose 0-1 values fix every other variable, each one variable or
-    # an exactly-one set; empty means each variable alone
+    # an exactly-one set: exactly the terms of one row c x1 + ... + c xn = c,
+    # c != 0 (the search refuses any other); empty means each variable alone
     determining: Tuple[Tuple[str, ...], ...] = ()
 
     @property

@@ -177,10 +177,10 @@ def bayesnet_to_doc(b: bn.BayesianNetwork) -> dict:
 def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
                         ) -> bn.InstantiationSet:
     """Comma-separated Var=value pairs, read against ``b``.  An item splits
-    at the one ``=`` that leaves a variable of ``b`` on the left and a value
+    at the first ``=`` that leaves a variable of ``b`` on the left and a value
     in its range on the right, so ``A=b=d`` names the variable ``A=b`` when
-    only that reading holds; an item with no such split, or with more than
-    one, is refused."""
+    ``A`` has no value ``b=d``; an item with no such split is refused.  A
+    name or value that holds ``,`` is given in an evidence file instead."""
     out: bn.InstantiationSet = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -195,11 +195,8 @@ def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
         if not fits:
             # no reading fits: the check of the first says what is wrong
             bn.check_entries(b, dict(splits[:1]))
-        if len(fits) > 1:
-            raise ModelError(
-                f"evidence item {chunk!r} reads as "
-                + " and as ".join(f"{var!r} = {val!r}" for var, val in fits)
-                + "; give it in --evidence-file")
+        # two splits fit only when two indicators share a name, which
+        # encode_bayesnet refuses, or differ only by spaces around an "="
         var, val = fits[0]
         if var in out and out[var] != val:
             raise ModelError(f"conflicting evidence for {var!r}")

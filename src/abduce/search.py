@@ -14,15 +14,16 @@ key is left, so its point is the cheapest not yet emitted: it is checked,
 priced and emitted, and the rest of the region is split over the
 determining groups g1..gm (``ConstraintSystem.groups``: a graph's
 hypotheses one by one, a network's variables, each variable of a hand-built
-system), child i fixing g1..g(i-1) to the point's values and excluding gi's
-value (Nilsson 1998, k-best MAP by partitioning).  A group's active variable
-is the one variable of a singleton, or the one at 1 in an exactly-one group,
-and excluding the value fixes it at its other bound: a singleton flips, a
-network variable loses its value.  A group with no other value left in the
-region gets no child: its active variable is fixed, or every other variable
-of its exactly-one set is fixed at 0.  The groups fix
-all other variables, so the children hold every point of the region but the
-emitted one, and each point comes out once, in cost order.
+system).  A group's active variable is the one variable of a singleton, or
+the one at 1 in an exactly-one group.  Child i fixes the active variables
+of g1..g(i-1) at the point's values, and each exactly-one row pins the rest
+of its group; it also fixes gi's active variable at its other bound, so a
+singleton flips and a network variable loses its value (Nilsson 1998, k-best
+MAP by partitioning).  A group with no other value left in the region gets
+no child: its active variable is fixed, or every other variable of its
+exactly-one set is fixed at 0.  The groups fix all other variables, so the
+children hold every point of the region but the emitted one, and each point
+comes out once, in cost order.
 ``solve_optimal``, ``enumerate_best`` and ``enumerate_permissible`` are this
 search, stopped at k.  Cardinal mode keeps a cut loop: each rank is the first
 point of the region search after one cardinal cut per earlier rank, solved
@@ -109,9 +110,7 @@ def _regions(p: sx.LpProblem,
     sizes = np.array([len(g) for g in system.groups], dtype=np.intp)
     single = sizes == 1
     starts = np.cumsum(sizes) - sizes
-    # per scope column: its group's position, and whether that is a singleton
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
-    alone = np.repeat(single, sizes)
+    alone = np.repeat(single, sizes)  # per scope column: in a singleton
     counter = itertools.count()
     # (key, tie, region, its LpResult once solved, else its parent's basis)
     heap: List[tuple] = ([(root.objective, next(counter), p, root)]
@@ -144,27 +143,20 @@ def _regions(p: sx.LpProblem,
                 raise InvariantViolation(
                     "integral LP optimum violates the system")
             yield packed(system, point), cost
-            at = point[scope]
-            pos = np.flatnonzero(at | alone)  # each group's active column
-            if not np.array_equal(group_of[pos], np.arange(len(sizes))):
-                raise ModelError("a determining group of more than one "
-                                 "variable is not an exactly-one set")
-            # the scope with each group's active column moved to its front,
-            # so child g fixes a prefix: the groups before g, then g's active
-            order = np.arange(len(scope))
-            order[pos], order[starts] = starts, pos
-            ordered, at = scope[order], at[order].astype(float)
-            active = ordered[starts]
+            # each group's active variable, in group order: ``_root`` checked
+            # that a group of two or more is an exactly-one set, so one of
+            # its variables is at 1, and fixing that one pins the rest
+            active = scope[point[scope] | alone]
+            at = point[active].astype(float)
             # a group with no other value left in the region gets no child:
             # its active variable is fixed, or it is an exactly-one set whose
             # other variables are all fixed at 0
-            left = (p.lower[active] < p.upper[active]) & \
-                (single | (np.add.reduceat(p.upper[scope], starts) > 1))
-            ends = starts[left] + 1
-            vals = np.tile(at, (len(ends), 1))
-            vals[np.arange(len(ends)), ends - 1] = 1.0 - at[ends - 1]
-            fixes = [(ordered[:e], v[:e])
-                     for e, v in zip(ends.tolist(), vals)]
+            left = np.flatnonzero((p.lower[active] < p.upper[active]) & (
+                single | (np.add.reduceat(p.upper[scope], starts) > 1)))
+            vals = np.tile(at, (len(left), 1))
+            vals[np.arange(len(left)), left] = 1.0 - at[left]
+            fixes = [(active[:i + 1], v[:i + 1])
+                     for i, v in zip(left.tolist(), vals)]
         for cols, values in fixes:
             heapq.heappush(heap, (bound, next(counter),
                                   sx.with_bounds(p, cols, values, values),
@@ -174,10 +166,18 @@ def _regions(p: sx.LpProblem,
 def _root(system: ConstraintSystem) -> sx.LpProblem:
     """The [0, 1] relaxation of ``system``, with each column that a
     one-variable equality row ``c x = b`` fixes at ``b / c`` in {0, 1} fixed
-    there by its bounds too."""
+    there by its bounds too.  A group of two or more variables that is not
+    the terms of one row ``c x1 + ... + c xn = c``, c != 0, is refused."""
     A, rel, b = system.rows
-    nonzero = A != 0
-    rows = np.flatnonzero((rel == EQ) & (nonzero.sum(axis=1) == 1))
+    nonzero, eq = A != 0, rel == EQ
+    sums = eq & (b != 0) & ((A == b[:, None]) | ~nonzero).all(axis=1)
+    backed = {tuple(np.flatnonzero(r).tolist()) for r in nonzero[sums]}
+    for g in system.groups:
+        if len(g) > 1 and tuple(sorted(system.index[x] for x in g)) \
+                not in backed:
+            raise ModelError(f"determining group {g!r} is not an exactly-one "
+                             f"set: no row c*({' + '.join(g)}) = c, c != 0")
+    rows = np.flatnonzero(eq & (nonzero.sum(axis=1) == 1))
     _, cols = np.nonzero(nonzero[rows])  # one per row, in row order
     at = b[rows] / A[rows, cols]
     pin = (at == 0.0) | (at == 1.0)

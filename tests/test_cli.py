@@ -184,12 +184,6 @@ def test_evidence_spec_resolved_against_the_network():
         model_io.parse_evidence_spec("Z=d", b)
     with pytest.raises(ModelError, match=r"value A=b=e not in range"):
         model_io.parse_evidence_spec("A=b=e", b)
-    ambiguous = json.loads(
-        json.dumps(NAME_WITH_EQUALS).replace('"x"', '"b=c"'))
-    with pytest.raises(ModelError, match="'A=b=c' reads as 'A' = 'b=c' and "
-                                         "as 'A=b' = 'c'"):
-        model_io.parse_evidence_spec("A=b=c",
-                                     model_io.parse_bayesnet(ambiguous))
 
 
 # --- abduce commands ----------------------------------------------------------
@@ -318,6 +312,26 @@ class TestMpeCommands:
         assert spec == run_ok(runner, mpe_cli, ["solve", str(model),
                                                 "--evidence-file",
                                                 str(evidence)])
+
+    def test_evidence_value_with_a_comma_is_given_in_a_file(self, runner,
+                                                           tmp_path):
+        """``--evidence`` splits at every ``,`` first, so ``X=a,b`` reads as
+        ``X=a`` and ``b`` and is refused; the evidence file takes it."""
+        model = tmp_path / "m.bn.json"
+        model.write_text(json.dumps(
+            {"variables": [{"name": "X", "range": ["a,b", "c"]}],
+             "cpts": [{"child": "X", "parents": [], "rows": [
+                 {"given": [], "probs": {"a,b": 0.2, "c": 0.8}}]}]}))
+        result = runner.invoke(mpe_cli, ["solve", str(model),
+                                         "--evidence", "X=a,b"])
+        assert result.exit_code == 1
+        assert "value X=a not in range ('a,b', 'c')" in result.stderr
+        evidence = tmp_path / "e.json"
+        evidence.write_text(json.dumps({"X": "a,b"}))
+        [line] = json_lines(run_ok(runner, mpe_cli, [
+            "solve", str(model), "--evidence-file", str(evidence)]))
+        assert line["instantiation"] == {"X": "a,b"}
+        assert line["probability"] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("text, message", [
         ('["C", "true"]', "expected an object of Var: value pairs"),
@@ -604,13 +618,18 @@ class TestExitCodes:
         [line] = json_lines(run_ok(runner, cli, ["solve", str(model), *args]))
         assert line[field] == want
 
-    @pytest.mark.parametrize("command", ["enumerate", "encode"])
-    def test_shared_entry_name_is_exit_1(self, runner, tmp_path, command):
+    @pytest.mark.parametrize("command, args", [
+        ("enumerate", []), ("encode", []),
+        ("solve", ["--evidence", "A=b=c"]),
+    ], ids=["enumerate", "encode", "evidence-reads-two-ways"])
+    def test_shared_entry_name_is_exit_1(self, runner, tmp_path, command,
+                                         args):
         """``A`` = ``b=c`` and ``A=b`` = ``c`` would both be the indicator
-        ``A=b=c``; one variable for the two gave 2 ranks of the 4."""
+        ``A=b=c``; one variable for the two gave 2 ranks of the 4.  Evidence
+        ``A=b=c`` reads both ways, and the encoder refuses the network."""
         model = tmp_path / "colliding.json"
         model.write_text(json.dumps(COLLIDING_NETWORK))
-        result = runner.invoke(mpe_cli, [command, str(model)])
+        result = runner.invoke(mpe_cli, [command, str(model), *args])
         assert result.exit_code == 1
         assert result.stderr == ("error: two network entries are both named "
                                  "'A=b=c'; rename a variable or a value\n")

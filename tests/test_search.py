@@ -530,14 +530,54 @@ def test_root_pins_one_variable_equality_rows(fig):
     assert p.lower.sum() == 1.0 and p.upper.sum() == len(system.variables)
 
 
-def test_a_group_must_be_an_exactly_one_set():
-    """A group of two variables that may both be 0 is refused once a point
-    shows it, rather than split as if it held one value."""
-    names = ("a", "b")
-    system = ConstraintSystem(names, (), {"a": 1.0, "b": 1.0},
-                              {"a": 0.0, "b": 0.0}, (("a", "b"),))
-    with pytest.raises(ModelError, match="not an exactly-one set"):
+@pytest.mark.parametrize("rows", [
+    (),
+    (LinearConstraint(((1.0, "a"), (1.0, "b")), "<=", 1.0),),
+    (LinearConstraint(((1.0, "a"), (1.0, "b")), ">=", 1.0),),
+    (LinearConstraint(((1.0, "a"), (1.0, "b"), (1.0, "c")), "=", 1.0),),
+], ids=["no-row", "at-most-one", "at-least-one", "row-over-more"])
+def test_a_group_must_be_an_exactly_one_set(rows, monkeypatch):
+    """A group of two variables that no row ``c a + c b = c`` backs is
+    refused before any LP is solved, rather than split as if it held one
+    value: with ``a + b >= 1`` alone the split dropped a = b = 1."""
+    names = ("a", "b", "c")
+    system = ConstraintSystem(names, rows, dict.fromkeys(names, 1.0),
+                              dict.fromkeys(names, 0.0), (("a", "b"), ("c",)))
+    solves = []
+    monkeypatch.setattr(sx, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ModelError, match=r"group \('a', 'b'\) is not an "
+                                         "exactly-one set"):
         search.enumerate_best(system, search.ALL)
+    assert solves == []
+
+
+def test_hand_built_groups_match_brute_force():
+    """Singletons mixed with an exactly-one group of three, one backed by a
+    scaled row, and a variable the groups fix: every point once, in cost
+    order."""
+    names = ("a", "b", "c", "d", "e", "f", "g", "h")
+    rows = (
+        LinearConstraint(((1.0, "a"), (1.0, "b"), (1.0, "c")), "=", 1.0),
+        LinearConstraint(((2.0, "d"), (2.0, "e")), "=", 2.0),
+        LinearConstraint(((1.0, "f"), (-1.0, "a"), (-1.0, "d")), "<=", 0.0),
+        LinearConstraint(((1.0, "g"), (1.0, "b")), "<=", 1.0),
+        # h = f AND g
+        LinearConstraint(((1.0, "h"), (-1.0, "f"), (-1.0, "g")), ">=", -1.0),
+        LinearConstraint(((1.0, "h"), (-1.0, "f")), "<=", 0.0),
+        LinearConstraint(((1.0, "h"), (-1.0, "g")), "<=", 0.0),
+    )
+    system = ConstraintSystem(
+        names, rows,
+        {"a": 1.0, "b": 2.0, "c": 3.0, "d": 0.5, "e": 0.5, "f": -1.0,
+         "g": 2.0, "h": -2.5},
+        dict.fromkeys(names, 0.0),
+        (("a", "b", "c"), ("f",), ("d", "e"), ("g",)))
+    ranked = search.enumerate_best(system, search.ALL)
+    got = [(tuple(r.assignment[x] for x in names), r.cost) for r in ranked]
+    want = sorted(((tuple(s[x] for x in names), objective(system, s))
+                   for s in all_01_points(system)), key=lambda t: t[1])
+    assert len(want) == 17
+    assert_streams_match(got, want, 1e-9)
 
 
 # --- stream invariants --------------------------------------------------------
