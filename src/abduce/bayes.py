@@ -111,13 +111,8 @@ def probability(b: BayesianNetwork, w: InstantiationSet) -> float:
     """Chain-rule joint of a complete instantiation-set."""
     if not is_complete(b, w):
         raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
-    factors = [b.cpt[(v, w[v], tuple(w[p] for p in b.parents[v]))]
-               for v in b.variables]
-    prod = math.prod(factors)
-    if prod == 0.0 and all(factors):
-        # all factors positive but the running product underflowed
-        return math.exp(sum(map(math.log, factors)))
-    return prod
+    return math.prod(b.cpt[(v, w[v], tuple(w[p] for p in b.parents[v]))]
+                     for v in b.variables)
 
 
 def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet):

@@ -82,9 +82,13 @@ class _Group(click.Group):
 def _parse_k(value: str) -> object:
     if value.lower() == "all":
         return search.ALL
-    k = int(value)
+    try:
+        k = int(value)
+    except ValueError:
+        k = 0
     if k < 1:
-        raise ModelError("--k must be at least 1, or 'all'")
+        raise ModelError(f"--k must be a whole number of at least 1, or "
+                         f"'all', not {value!r}")
     return k
 
 
@@ -159,7 +163,7 @@ def abduce_encode(model):
 
 # --- mpe --------------------------------------------------------------------
 
-def _mpe_encoding(model: str, zero_prob: str, evidence: Optional[str],
+def _mpe_encoding(model: str, evidence: Optional[str],
                   evidence_file: Optional[str]):
     """The model's encoding with the evidence of both options applied, and
     that evidence; ``apply_evidence`` checks its variables and values."""
@@ -168,7 +172,7 @@ def _mpe_encoding(model: str, zero_prob: str, evidence: Optional[str],
     for var, val in model_io.parse_evidence_spec(evidence or "", b).items():
         if e.setdefault(var, val) != val:
             raise ModelError(f"conflicting evidence for {var!r}")
-    return apply_evidence(encode_bayesnet(b, zero_prob=zero_prob), e), e
+    return apply_evidence(encode_bayesnet(b), e), e
 
 
 def _mpe_record(rank, r_assignment, cost, prob, inst) -> dict:
@@ -182,8 +186,6 @@ def mpe():
 
 
 def _mpe_model_options(f):
-    f = click.option("--zero-prob", type=click.Choice(["clamp", "reject"]),
-                     default="clamp")(f)
     f = click.option("--evidence", default=None,
                      help="comma-separated Var=value pairs; give a name "
                           "or value that holds ',' in --evidence-file")(f)
@@ -196,8 +198,8 @@ def _mpe_model_options(f):
 @mpe.command("solve")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
-def mpe_solve(model, zero_prob, evidence, evidence_file):
-    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
+def mpe_solve(model, evidence, evidence_file):
+    enc, _ = _mpe_encoding(model, evidence, evidence_file)
     ranked = search.enumerate_permissible(enc, 1)
     if not ranked:
         click.echo("no explanation exists", err=True)
@@ -210,8 +212,8 @@ def mpe_solve(model, zero_prob, evidence, evidence_file):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 @click.option("--k", default="all")
-def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
-    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
+def mpe_enumerate(model, evidence, evidence_file, k):
+    enc, _ = _mpe_encoding(model, evidence, evidence_file)
     ranked = search.enumerate_permissible(enc, _parse_k(k))
     for r in ranked:
         emit(_mpe_record(r.rank, r.assignment, r.cost, r.probability,
@@ -222,8 +224,8 @@ def mpe_enumerate(model, zero_prob, evidence, evidence_file, k):
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
 @click.option("--k", default="all")
-def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
-    enc, e = _mpe_encoding(model, zero_prob, evidence, evidence_file)
+def mpe_oracle(model, evidence, evidence_file, k):
+    enc, e = _mpe_encoding(model, evidence, evidence_file)
     want = _parse_k(k)
     for rank, (w, p) in _ranked(bn.enumerate_mpe_oracle(enc.network, e), want):
         s = instantiation_to_solution(enc, w)
@@ -233,8 +235,8 @@ def mpe_oracle(model, zero_prob, evidence, evidence_file, k):
 @mpe.command("encode")
 @click.argument("model", type=click.Path(exists=True, dir_okay=False))
 @_mpe_model_options
-def mpe_encode(model, zero_prob, evidence, evidence_file):
-    enc, _ = _mpe_encoding(model, zero_prob, evidence, evidence_file)
+def mpe_encode(model, evidence, evidence_file):
+    enc, _ = _mpe_encoding(model, evidence, evidence_file)
     click.echo(dump(enc.system))
 
 

@@ -16,7 +16,8 @@ other node, and each hypothesis is a group of its own.
 Bayesian networks encode with one indicator variable per (variable, value)
 and one conditional variable per CPT entry; the indicators determine the
 conditionals, each network variable's indicators are one group, and
-conditional true-costs are negative natural logs of the entries.  These rows
+conditional true-costs are negative natural logs of the entries, a zero
+entry priced above every instantiation of positive probability.  These rows
 alone make every 0-1 point permissible: the indicators fix each conditional
 to whether its head and configuration are active.  Both name functions
 intern what they build, so every encoding of the same network shares one
@@ -40,8 +41,6 @@ from .errors import ModelError
 
 # any value below 1 gives the same verdict on a 0-1 point of integer rows
 FEASIBILITY_TOL = 1e-6
-# CPT entries below this are clamped to it, or rejected (see encode_bayesnet)
-PROB_FLOOR = 1e-12
 
 LE = "<="
 GE = ">="
@@ -262,14 +261,19 @@ def conditional_name(var: str, value: str,
     return sys.intern(f"q[{head}|{cfg}]")
 
 
-def encode_bayesnet(b: bn.BayesianNetwork,
-                    zero_prob: str = "clamp") -> BayesEncoding:
+def encode_bayesnet(b: bn.BayesianNetwork) -> BayesEncoding:
     """Indicators with exactly-one rows, conditionals with linking rows.
 
-    ``zero_prob`` decides what happens to CPT entries below ``PROB_FLOOR``:
-    "clamp" costs them as -ln(PROB_FLOOR), "reject" raises.
+    A positive entry p costs -ln p.  A zero entry costs 1 plus the sum of
+    each variable's largest such cost, more than any instantiation of
+    positive probability.
     """
     bn.validate(b)
+    least = dict.fromkeys(b.variables, 1.0)  # each smallest positive entry
+    for (v, _, _), p in b.cpt.items():
+        if 0.0 < p < least[v]:
+            least[v] = p
+    zero_cost = 1.0 + sum(-math.log(p) for p in least.values())
     groups = tuple(tuple(indicator_name(v, a) for a in b.ranges[v])
                    for v in b.variables)
     indicators = tuple(x for g in groups for x in g)
@@ -287,13 +291,7 @@ def encode_bayesnet(b: bn.BayesianNetwork,
                 config_pairs = tuple(zip(b.parents[v], config))
                 name = conditional_name(v, a, config_pairs)
                 p = b.cpt[(v, a, tuple(config))]
-                if p < PROB_FLOOR:
-                    if zero_prob == "reject":
-                        raise ModelError(
-                            f"P({v}={a} | {config!r}) = {p!r} is below "
-                            f"{PROB_FLOOR:g} and --zero-prob is reject")
-                    p = PROB_FLOOR
-                psi_true[name] = -math.log(p)
+                psi_true[name] = -math.log(p) if p > 0.0 else zero_cost
                 conditionals[name] = CondVar(v, a, config_pairs)
                 names[name] += 1
                 upsilon.append(name)

@@ -29,6 +29,8 @@ def _load_json(path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: byte {exc.start} is not UTF-8") from exc
 
 
 def _field(entry: Any, key: str, what: str) -> Any:
@@ -176,11 +178,13 @@ def bayesnet_to_doc(b: bn.BayesianNetwork) -> dict:
 
 def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
                         ) -> bn.InstantiationSet:
-    """Comma-separated Var=value pairs, read against ``b``.  An item splits
-    at the first ``=`` that leaves a variable of ``b`` on the left and a value
-    in its range on the right, so ``A=b=d`` names the variable ``A=b`` when
-    ``A`` has no value ``b=d``; an item with no such split is refused.  A
-    name or value that holds ``,`` is given in an evidence file instead."""
+    """Comma-separated Var=value pairs, read against ``b``.  Each item, with
+    its outer spaces stripped, splits at the ``=`` that leaves a variable of
+    ``b`` on the left and a value in its range on the right, both as
+    written, so ``A=b=d`` names the variable ``A=b`` when ``A`` has no value
+    ``b=d``, and ``C = true`` names the variable ``C ``; an item with no
+    such split is refused.  A name or value that holds ``,`` is given in an
+    evidence file instead."""
     out: bn.InstantiationSet = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -188,15 +192,15 @@ def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
             continue
         if "=" not in chunk:
             raise ModelError(f"evidence item {chunk!r} is not Var=value")
-        splits = [(chunk[:i].strip(), chunk[i + 1:].strip())
+        splits = [(chunk[:i], chunk[i + 1:])
                   for i, c in enumerate(chunk) if c == "="]
         fits = [(var, val) for var, val in splits
                 if val in b.ranges.get(var, ())]
         if not fits:
             # no reading fits: the check of the first says what is wrong
             bn.check_entries(b, dict(splits[:1]))
-        # two splits fit only when two indicators share a name, which
-        # encode_bayesnet refuses, or differ only by spaces around an "="
+        # two splits fit only when two indicators share the item as their
+        # name, which encode_bayesnet refuses
         var, val = fits[0]
         if var in out and out[var] != val:
             raise ModelError(f"conflicting evidence for {var!r}")

@@ -118,18 +118,6 @@ class TestProbability:
     def test_zero_entry(self):
         assert bn.probability(single_binary(p=0.0), {"X": "a"}) == 0.0
 
-    def test_underflow_falls_back_to_the_log_sum(self):
-        # five of the smallest subnormal times 0.3 rounds to one, times 0.5
-        # to zero; the product is 0.75 of it, which exp rounds up to one
-        ps = {"A": 5 * 5e-324, "B": 0.3, "C": 0.5}
-        cpt = {(v, a, ()): p if a == T else 1 - p
-               for v, p in ps.items() for a in (T, F)}
-        net = bn.BayesianNetwork(tuple(ps), dict.fromkeys(ps, (T, F)),
-                                 dict.fromkeys(ps, ()), cpt)
-        assert ps["A"] * ps["B"] * ps["C"] == 0.0
-        got = bn.probability(net, dict.fromkeys(ps, T))
-        assert got == math.exp(sum(map(math.log, ps.values()))) == 5e-324
-
     def test_requires_complete(self, fig):
         with pytest.raises(ModelError, match="incomplete instantiation: covers only"):
             bn.probability(fig, {"A": T})

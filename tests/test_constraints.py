@@ -224,19 +224,22 @@ class TestEncodeBayesnet:
                 len(net.variables) + n_entries + n_values)
 
     def test_zero_probability_clamp(self):
+        """A positive entry costs exactly -ln p, however small, and -ln 0 is
+        clamped to one finite price: 1 plus each variable's largest
+        positive-entry cost, here X's -ln 1e-14 and Y's -ln 0.25."""
         net = bn.BayesianNetwork(
-            ("X",), {"X": ("a", "b")}, {"X": ()},
-            {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        enc = encode_bayesnet(net, zero_prob="clamp")
-        assert enc.system.psi_true["q[X=b]"] == pytest.approx(-math.log(1e-12))
-
-    def test_zero_probability_reject(self):
-        net = bn.BayesianNetwork(
-            ("X",), {"X": ("a", "b")}, {"X": ()},
-            {("X", "a", ()): 1.0, ("X", "b", ()): 0.0})
-        with pytest.raises(ModelError, match=re.escape(
-                "P(X=b | ()) = 0.0 is below 1e-12 and --zero-prob is reject")):
-            encode_bayesnet(net, zero_prob="reject")
+            ("X", "Y"), {"X": ("a", "b", "c"), "Y": ("y", "n")},
+            {"X": (), "Y": ("X",)},
+            {("X", "a", ()): 1.0, ("X", "b", ()): 1e-13,
+             ("X", "c", ()): 1e-14,
+             ("Y", "y", ("a",)): 1.0, ("Y", "n", ("a",)): 0.0,
+             ("Y", "y", ("b",)): 0.75, ("Y", "n", ("b",)): 0.25,
+             ("Y", "y", ("c",)): 0.5, ("Y", "n", ("c",)): 0.5})
+        psi = encode_bayesnet(net).system.psi_true
+        assert psi["q[X=b]"] == -math.log(1e-13)
+        assert psi["q[X=c]"] == -math.log(1e-14)
+        assert psi["q[Y=y|X=b]"] == -math.log(0.75)
+        assert psi["q[Y=n|X=a]"] == 1.0 + (-math.log(1e-14) - math.log(0.25))
 
 
 class TestApplyEvidence:
@@ -402,7 +405,7 @@ def test_every_point_of_the_encoding_is_permissible(case):
     per instantiation consistent with the evidence, even where a
     deterministic CPT row leaves conditional costs at zero."""
     net, e = case
-    enc = apply_evidence(encode_bayesnet(net, zero_prob="clamp"), e)
+    enc = apply_evidence(encode_bayesnet(net), e)
     ranked = search.enumerate_best(enc.system, search.ALL)
     for r in ranked:
         assert is_permissible(enc, r.assignment)

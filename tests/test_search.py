@@ -1,5 +1,6 @@
 """The region search, exclusion/cardinal cuts, and the three enumeration modes."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -430,7 +431,7 @@ class TestEnumeratePermissible:
         assert [r.probability for r in ranked] == pytest.approx(
             [0.294, 0.162, 0.048, 0.028], abs=1e-9)
         assert ranked[0].instantiation == {"A": T, "B": F, "C": T}
-        assert ranked[0].cost == pytest.approx(-__import__("math").log(0.294),
+        assert ranked[0].cost == pytest.approx(-math.log(0.294),
                                                abs=1e-9)
 
     def test_full_evidence_single_solution(self, fig):
@@ -486,6 +487,63 @@ def test_permissible_stream_matches_mpe_oracle(case):
     enc = apply_evidence(encode_bayesnet(net), e)
     ranked = search.enumerate_permissible(enc, search.ALL)
     assert_streams_match(permissible_stream(ranked), mpe_stream(net, e), 1e-9)
+
+
+@st.composite
+def extreme_networks_with_evidence(draw):
+    """Networks of 1-5 variables with CPT entries in {0} and [1e-60, 1]:
+    ``random_bayesnet``'s margin=0 draws, or rows of log-uniform tiny entries
+    and zeros that one large entry tops up to 1.  No positive product of 5
+    entries underflows."""
+    net = random_bayesnet(draw(st.integers(0, 2**32 - 1)),
+                          n_variables=draw(st.integers(1, 5)),
+                          max_range=draw(st.integers(2, 3)), margin=0.0)
+    if draw(st.booleans()):
+        small = st.just(0.0) | st.floats(-60.0, -0.5).map(lambda t: 10.0 ** t)
+        cpt = {}
+        for v in net.variables:
+            for config in net.parent_configs(v):
+                probs = [draw(small) for _ in net.ranges[v]]
+                top = draw(st.integers(0, len(probs) - 1))
+                probs[top] = 1.0 - (sum(probs) - probs[top])
+                cpt.update(((v, a, tuple(config)), p)
+                           for a, p in zip(net.ranges[v], probs))
+        net = bn.BayesianNetwork(net.variables, net.ranges, net.parents, cpt)
+    e = {v: draw(st.sampled_from(net.ranges[v]))
+         for v in net.variables if draw(st.booleans())}
+    return net, e
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(extreme_networks_with_evidence())
+def test_permissible_stream_prices_extreme_entries_exactly(case):
+    """Every positive entry costs exactly -ln p and a zero entry more than
+    any positive instantiation, so the stream is the oracle's, tie group by
+    tie group (probabilities equal to 1e-9 relative), each positive rank
+    costs -ln P, and every rank of probability 0 comes last."""
+    net, e = case
+    enc = apply_evidence(encode_bayesnet(net), e)
+    ranked = search.enumerate_permissible(enc, search.ALL)
+    want = bn.enumerate_mpe_oracle(net, e)
+    assert len(ranked) == len(want)
+    start = 0
+    for stop in range(1, len(want) + 1):
+        p = want[start][1]
+        if stop < len(want) and math.isclose(want[stop][1], p, rel_tol=1e-9):
+            continue
+        group = ranked[start:stop]
+        assert {inst_key(r.instantiation) for r in group} == \
+            {inst_key(w) for w, _ in want[start:stop]}
+        assert all(math.isclose(r.probability, p, rel_tol=1e-9)
+                   for r in group)
+        start = stop
+    for r in ranked:
+        if r.probability > 0.0:
+            # P near 1 rounds to within an ulp of 1: its cost is near 0
+            assert math.isclose(r.cost, -math.log(r.probability),
+                                rel_tol=1e-9, abs_tol=1e-12)
+    positive = [r.probability > 0.0 for r in ranked]
+    assert positive == sorted(positive, reverse=True)
 
 
 def test_permissible_lp_solves_per_rank(monkeypatch):
