@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import ModelError
 from .toposort import kahn_order
@@ -107,20 +107,23 @@ def is_complete(b: BayesianNetwork, w: InstantiationSet) -> bool:
     return set(w) == set(b.variables)
 
 
+def _factors(b: BayesianNetwork, w: InstantiationSet) -> List[float]:
+    """The chain rule's CPT entries for a complete instantiation-set."""
+    return [b.cpt[(v, w[v], tuple(w[p] for p in b.parents[v]))]
+            for v in b.variables]
+
+
 def probability(b: BayesianNetwork, w: InstantiationSet) -> float:
-    """Chain-rule joint of a complete instantiation-set."""
+    """The float64 chain-rule product of a complete instantiation-set."""
     if not is_complete(b, w):
         raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
-    return math.prod(b.cpt[(v, w[v], tuple(w[p] for p in b.parents[v]))]
-                     for v in b.variables)
+    return math.prod(_factors(b, w))
 
 
 def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet):
-    """All explanations for ``e`` by brute force, most probable first.
-
-    Ties broken lexicographically by value indices over the declared
-    variable order.
-    """
+    """All explanations for ``e`` by brute force, most probable first; a
+    product that underflows to 0 by its factors' exact -ln sum, before every
+    true zero.  Ties go by value indices, compared in variable order."""
     check_entries(b, e)
     total = math.prod(len(b.ranges[v]) for v in b.variables)
     if total > ORACLE_MAX_INSTANTIATIONS:
@@ -130,7 +133,11 @@ def enumerate_mpe_oracle(b: BayesianNetwork, e: InstantiationSet):
     ranked = []
     for combo in itertools.product(*choices):
         w = dict(zip(b.variables, combo))
+        factors = _factors(b, w)
+        p = math.prod(factors)
+        cost = (0.0 if p else math.inf if 0.0 in factors
+                else math.fsum(-math.log(f) for f in factors))
         key = tuple(b.ranges[v].index(w[v]) for v in b.variables)
-        ranked.append((-probability(b, w), key, w))
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    return [(w, -negp) for negp, _, w in ranked]
+        ranked.append((-p, cost, key, w))
+    ranked.sort(key=lambda t: t[:3])
+    return [(w, -negp) for negp, _, _, w in ranked]

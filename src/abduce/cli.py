@@ -9,7 +9,6 @@ output.  Exit codes: 0 success, 1 a ``ModelError`` or usage error, 2 a
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import sys
 from typing import Optional
@@ -92,12 +91,6 @@ def _parse_k(value: str) -> object:
     return k
 
 
-def _ranked(items, want):
-    """(rank, item) for the first ``want`` items, ranks from 1."""
-    stop = None if want is search.ALL else want
-    return enumerate(itertools.islice(items, stop), start=1)
-
-
 def _waodag_record(rank, assignment, cost, w: wd.Waodag) -> dict:
     hyps = sorted(q for q in w.hypotheses if assignment[q])
     return {"rank": rank, "cost": cost, "assignment": dict(assignment),
@@ -131,10 +124,8 @@ def abduce_enumerate(model, mode, k):
     w = model_io.parse_waodag_file(model)
     enc = encode_waodag(w)
     want = _parse_k(k)
-    if mode == "cardinal":
-        ranked = search.enumerate_cardinal(enc, want)
-    else:
-        ranked = search.enumerate_best(enc.system, want)
+    ranked = (search.enumerate_cardinal(enc, want) if mode == "cardinal"
+              else search.enumerate_best(enc.system, want))
     for r in ranked:
         emit(_waodag_record(r.rank, r.assignment, r.cost, w))
 
@@ -150,7 +141,7 @@ def abduce_oracle(model, mode, k):
     listed = wd.enumerate_explanations_oracle(w)
     if mode == "cardinal":
         listed = [(e, c) for e, c in listed if wd.is_cardinal(w, e)]
-    for rank, (e, c) in _ranked(listed, want):
+    for rank, (e, c) in search.ranked(listed, want):
         emit(_waodag_record(rank, truth_to_solution(enc, e), c, w))
 
 
@@ -214,8 +205,7 @@ def mpe_solve(model, evidence, evidence_file):
 @click.option("--k", default="all")
 def mpe_enumerate(model, evidence, evidence_file, k):
     enc, _ = _mpe_encoding(model, evidence, evidence_file)
-    ranked = search.enumerate_permissible(enc, _parse_k(k))
-    for r in ranked:
+    for r in search.enumerate_permissible(enc, _parse_k(k)):
         emit(_mpe_record(r.rank, r.assignment, r.cost, r.probability,
                          r.instantiation))
 
@@ -227,7 +217,8 @@ def mpe_enumerate(model, evidence, evidence_file, k):
 def mpe_oracle(model, evidence, evidence_file, k):
     enc, e = _mpe_encoding(model, evidence, evidence_file)
     want = _parse_k(k)
-    for rank, (w, p) in _ranked(bn.enumerate_mpe_oracle(enc.network, e), want):
+    for rank, (w, p) in search.ranked(bn.enumerate_mpe_oracle(enc.network, e),
+                                      want):
         s = instantiation_to_solution(enc, w)
         emit(_mpe_record(rank, s, objective(enc.system, s), p, w))
 

@@ -90,10 +90,15 @@ Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 def dense_rows(rows, index: Mapping[str, int], n: int) -> Rows:
     """``rows`` as arrays over the columns ``index`` names."""
     rows = tuple(rows)
+    i, j, coeffs = [], [], []
+    for r, row in enumerate(rows):
+        for coeff, var in row.terms:
+            i.append(r)
+            j.append(index[var])
+            coeffs.append(coeff)
     A = np.zeros((len(rows), n))
-    at = [(i, index[var]) for i, row in enumerate(rows) for _, var in row.terms]
-    np.add.at(A, tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T),
-              [coeff for row in rows for coeff, _ in row.terms])
+    np.add.at(A, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)),
+              coeffs)
     return (A, np.array([row.relation for row in rows], dtype="<U2"),
             np.array([row.rhs for row in rows], dtype=float))
 

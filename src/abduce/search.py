@@ -1,7 +1,7 @@
 """Optimal 0-1 solutions and k-best enumeration by best-first region search.
 
 A region is the LP relaxation with some variables fixed by their bounds
-(``simplex.with_bounds``); no row is ever added to it.  The root region is
+(``simplex.fixed``); no row is ever added to it.  The root region is
 the [0, 1] relaxation with each variable that a one-variable equality row
 fixes at 0 or 1 (an evidence row) fixed by its bounds as well, so no split
 undoes evidence.  One heap holds the open regions, keyed by a lower bound on
@@ -24,12 +24,12 @@ no child: its active variable is fixed, or every other variable of its
 exactly-one set is fixed at 0.  The groups fix all other variables, so the
 children hold every point of the region but the emitted one, and each point
 comes out once, in cost order.
-``solve_optimal``, ``enumerate_best`` and ``enumerate_permissible`` are this
-search, stopped at k.  Cardinal mode keeps a cut loop: each rank is the first
-point of the region search after one cardinal cut per earlier rank, solved
-from the previous root's basis, and is shrunk to a cardinal optimum before it
-is reported and cut.  A cardinal cut with no true hypothesis is ``0 <= -1``,
-so the stream ends there.
+``ranked`` numbers a point stream and stops it at k: the region search's in
+``solve_optimal``, ``enumerate_best`` and ``enumerate_permissible``, and a
+cut loop's in cardinal mode.  There each point is the region search's first
+after one cardinal cut per earlier point, solved from the previous root's
+basis, shrunk to a cardinal optimum, yielded, and cut exactly as yielded.
+A cardinal cut with no true hypothesis is ``0 <= -1``: the stream ends there.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def _regions(p: sx.LpProblem,
                      for i, v in zip(left.tolist(), vals)]
         for cols, values in fixes:
             heapq.heappush(heap, (bound, next(counter),
-                                  sx.with_bounds(p, cols, values, values),
+                                  sx.fixed(p, cols, values),
                                   res.basis))
 
 
@@ -181,44 +181,46 @@ def _root(system: ConstraintSystem) -> sx.LpProblem:
     _, cols = np.nonzero(nonzero[rows])  # one per row, in row order
     at = b[rows] / A[rows, cols]
     pin = (at == 0.0) | (at == 1.0)
-    return sx.with_bounds(sx.relax(system), cols[pin], at[pin], at[pin])
+    return sx.fixed(sx.relax(system), cols[pin], at[pin])
 
 
-def _enumerate(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
-    """The first k points of the region search on ``system``, each reported
-    by ``finish(rank, s, cost)``."""
+def _points(system: ConstraintSystem) -> Iterator[Tuple[Assignment, float]]:
+    """The region search's 0-1 points of ``system``, in cost order."""
     p = _root(system)
-    ranks = itertools.count(1) if k == ALL else range(1, int(k) + 1)
-    return [finish(rank, s, cost)
-            for rank, (s, cost) in zip(ranks, _regions(p, sx.solve(p)))]
+    yield from _regions(p, sx.solve(p))
 
 
-def _cut_loop(system: ConstraintSystem, k, finish) -> List[RankedSolution]:
-    """Cardinal mode's loop: the region search's first point, reported by
-    ``finish(rank, s, cost)``, then a cardinal cut built from the report."""
-    p, warm, out = _root(system), None, []
-    want = math.inf if k == ALL else int(k)
-    while len(out) < want:
-        if out:
-            p = sx.add_row(p, cardinal_cut(out[-1].assignment, system.scope))
-            warm = root.basis
+def _cut_points(system: ConstraintSystem, shrink) -> Iterator[tuple]:
+    """Cardinal mode's points: per rank, the region search's first point,
+    shrunk by ``shrink(s, cost) -> (s, cost)`` and yielded; then the
+    cardinal cut of exactly that point joins the root."""
+    p, warm = _root(system), None
+    while True:
         root = sx.solve(p, warm=warm)
         found = next(_regions(p, root), None)
         if found is None:
-            break
-        out.append(finish(len(out) + 1, *found))
-    return out
+            return
+        s, cost = shrink(*found)
+        yield s, cost
+        p, warm = sx.add_row(p, cardinal_cut(s, system.scope)), root.basis
+
+
+def ranked(items: Iterable, k) -> Iterator[Tuple[int, object]]:
+    """(rank, item) for the first k items, ranks from 1; k may be ALL."""
+    return enumerate(itertools.islice(items, None if k == ALL
+                                      else max(0, int(k))), 1)
 
 
 def solve_optimal(system: ConstraintSystem) -> Optional[RankedSolution]:
     """Minimum-cost 0-1 solution, or None when no 0-1 solution exists."""
-    ranked = _enumerate(system, 1, RankedSolution)
-    return ranked[0] if ranked else None
+    return next((RankedSolution(rank, s, cost)
+                 for rank, (s, cost) in ranked(_points(system), 1)), None)
 
 
 def enumerate_best(system: ConstraintSystem, k) -> List[RankedSolution]:
     """The k best 0-1 solutions in cost order; k may be ALL."""
-    return _enumerate(system, k, RankedSolution)
+    return [RankedSolution(rank, s, cost)
+            for rank, (s, cost) in ranked(_points(system), k)]
 
 
 def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
@@ -227,12 +229,10 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
     The search runs on the encoding as it is.  On a monotonic graph every
     cost gap is at least zero and dropping a hypothesis can only turn nodes
     false, so an optimum whose base set is not minimal shrinks to a cardinal
-    point of the same cost.  Only zero-gap hypotheses can be unneeded in an
-    optimum, so ``finish`` tries those, once each in scope order, and the
-    shrunk point is reported and cut.  It is an optimum too: it costs no
-    more, and an earlier cut that excluded it would exclude the optimum,
-    whose base set contains its own.
-    """
+    point of the same cost.  Only zero-gap hypotheses can be unneeded, so
+    ``shrink`` tries those, once each in scope order.  The shrunk point is an
+    optimum too: it costs no more, and an earlier cut that excluded it would
+    exclude the optimum, whose base set contains its own."""
     w = enc.waodag
     if not wd.is_monotonic(w):
         raise ModelError("a cost gap is negative; cardinal mode needs "
@@ -241,7 +241,7 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
     free = [h for h in system.scope
             if system.psi_true[h] == system.psi_false[h]]
 
-    def finish(rank, s, cost):
+    def shrink(s, cost):
         base = {h for h in system.scope if s[h]}
         size = len(base)
         for h in free:
@@ -249,16 +249,17 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
                 e = wd.propagate(w, base - {h})
                 if all(e[q] for q in w.evidence):
                     base.remove(h)
-        if len(base) < size:
-            shrunk = truth_to_solution(enc, wd.propagate(w, base))
-            price = objective(system, shrunk)
-            if price > cost + WEAK_DUALITY_TOL * (1.0 + abs(cost)):
-                raise InvariantViolation(
-                    f"shrunk point costs {price} > optimum {cost}")
-            s, cost = packed(system, shrunk), price
-        return RankedSolution(rank, s, cost)
+        if len(base) == size:
+            return s, cost
+        shrunk = truth_to_solution(enc, wd.propagate(w, base))
+        price = objective(system, shrunk)
+        if price > cost + WEAK_DUALITY_TOL * (1.0 + abs(cost)):
+            raise InvariantViolation(
+                f"shrunk point costs {price} > optimum {cost}")
+        return packed(system, shrunk), price
 
-    return _cut_loop(system, k, finish)
+    return [RankedSolution(rank, s, cost)
+            for rank, (s, cost) in ranked(_cut_points(system, shrink), k)]
 
 
 def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
@@ -268,16 +269,13 @@ def enumerate_permissible(enc: BayesEncoding, k) -> List[RankedSolution]:
     head's conditionals sum to zero, and the active configuration's
     conditional is forced to one, which zeroes its siblings.  So the search
     runs on the encoding as it is, and each point is only checked.  Each
-    network variable's indicators are one determining group, so each
-    emitted solution is a distinct instantiation-set, and a split excludes
-    one variable's value at a time.
-    """
+    network variable's indicators are one determining group, so each point
+    is a distinct instantiation-set, and a split excludes one value."""
     def finish(rank, s, cost):
         if not is_permissible(enc, s):
             raise InvariantViolation("optimum is not permissible")
         w = solution_to_instantiation(enc, s)
-        return RankedSolution(rank, s, cost,
-                              probability=bn.probability(enc.network, w),
-                              instantiation=w)
+        return RankedSolution(rank, s, cost, bn.probability(enc.network, w), w)
 
-    return _enumerate(enc.system, k, finish)
+    return [finish(rank, s, cost)
+            for rank, (s, cost) in ranked(_points(enc.system), k)]

@@ -4,12 +4,12 @@ An LP problem is a constraint system plus variable bounds.  It solves
 min c.x subject to the system's rows, read as written, over the columns
 ``[A | I]``: the structural columns, then one slack ``s = b - A x`` per row,
 bounded by its relation: [0, inf) for ``<=``, (-inf, 0] for ``>=`` and
-[0, 0] for ``=``.  ``relax`` bounds every variable to [0, 1], ``add_row``
-extends the system by one cut row, and only a refresh builds the slack
-block: a slack's entry in a pivot row is that row of ``B^-1``, and its column
-of ``B^-1 [A | I]`` is a column of ``B^-1``.  ``LpProblem.layout`` (slack
-bounds, cost, optimality tolerance) is built once per system and shared by
-every bound change.
+[0, 0] for ``=``.  ``relax`` bounds every variable to [0, 1], ``fixed``
+fixes columns by their bounds, ``add_row`` extends the system by one cut
+row, and only a refresh builds the slack block: a slack's entry in a pivot
+row is that row of ``B^-1``, and its column of ``B^-1 [A | I]`` is a column
+of ``B^-1``.  ``LpProblem.layout`` (slack bounds, cost, optimality
+tolerance) is built once per system and shared by every bound change.
 
 Every solve is a dual simplex from a dual-feasible basis.  A cold solve is
 a warm solve from the basis of zero rows, each structural column at the
@@ -147,11 +147,11 @@ def lu_solve(binv: np.ndarray, r: np.ndarray, trans: int = 0) -> np.ndarray:
     return r @ binv if trans else binv @ r
 
 
-def with_bounds(p: LpProblem, j, lo, hi) -> LpProblem:
-    """``p`` with the bounds of column ``j``, or of each column of an index
-    array ``j``, set to ``lo`` and ``hi`` (scalars, or arrays like ``j``)."""
+def fixed(p: LpProblem, j, values) -> LpProblem:
+    """``p`` with column ``j``, or each column of an index array ``j``,
+    fixed at ``values`` (a scalar, or an array like ``j``) by its bounds."""
     q = LpProblem(p.system, p.lower.copy(), p.upper.copy())
-    q.lower[j], q.upper[j] = lo, hi
+    q.lower[j] = q.upper[j] = values
     q.layout = p.layout  # same system: share it
     return q
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pathlib
 import sys
 
@@ -23,6 +24,8 @@ TONY = str(bundled_model("tony.waodag.json"))
 FIG = str(bundled_model("fig41.bn.json"))
 TINY = str(pathlib.Path(__file__).parent / "data"
            / "tiny_probabilities.bn.json")
+UNDERFLOW = str(pathlib.Path(__file__).parent / "data"
+                / "underflow_product.bn.json")
 
 
 @pytest.fixture
@@ -79,9 +82,14 @@ class TestParseWaodag:
         assert w.cost_false["a"] == 0.0
 
     def test_round_trip(self):
-        w = model_io.parse_waodag_file(TONY)
-        again = model_io.parse_waodag(model_io.waodag_to_doc(w))
-        assert again == w
+        doc = {"nodes": [{"id": "a", "cost_true": 2, "cost_false": 1.5},
+                         {"id": "e", "label": "or", "cost_false": 3}],
+               "edges": [["a", "e"]], "evidence": ["e"]}
+        for w in (model_io.parse_waodag_file(TONY),
+                  model_io.parse_waodag(doc)):
+            again = model_io.parse_waodag(model_io.waodag_to_doc(w))
+            assert again == w
+        assert model_io.waodag_to_doc(w) == doc
 
     def test_parses_share_node_ids(self):
         first, second = (
@@ -295,6 +303,21 @@ class TestMpeCommands:
             pytest.approx([r["probability"] for r in oracle], abs=1e-9)
         assert [r["instantiation"] for r in solver] == \
             [r["instantiation"] for r in oracle]
+
+    @pytest.mark.parametrize("command", ["enumerate", "oracle"])
+    def test_an_underflowing_product_ranks_before_the_zeros(self, runner,
+                                                            command):
+        """X=b, Y=b has P = 1e-400, whose float64 product is 0: both
+        commands rank it after the three positive products and before
+        every instantiation with a zero entry, at its exact cost."""
+        lines = json_lines(run_ok(runner, mpe_cli,
+                                  [command, UNDERFLOW, "--k", "all"]))
+        assert len(lines) == 9
+        assert all(r["probability"] > 0 for r in lines[:3])
+        assert lines[3]["instantiation"] == {"X": "b", "Y": "b"}
+        assert lines[3]["probability"] == 0
+        assert lines[3]["cost"] == pytest.approx(400 * math.log(10))
+        assert all(r["cost"] > lines[3]["cost"] for r in lines[4:])
 
     def test_encode_matches_golden(self, runner, data_dir):
         out = run_ok(runner, mpe_cli, ["encode", FIG, "--evidence", "C=true"])
@@ -607,8 +630,16 @@ class TestExitCodes:
          [], "P(A=t | ()) = 1.5 is not in [0, 1]"),
         (mpe_cli, {"variables": [{"name": "A", "range": []}]}, [],
          "variable 'A' has an empty range"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]},
+                                 {"name": "B", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                                {"given": [], "probs": {"t": 0.5, "f": 0.5}}]},
+                            {"child": "B", "parents": ["A"], "rows": [
+                                {"given": [g], "probs": {"t": 0.5, "f": 0.5}}
+                                for g in ("t", "f", "x")]}]},
+         [], "2 CPT entries reference unknown configurations"),
     ], ids=["evidence-node", "missing-entry", "probability-range",
-            "empty-range"])
+            "empty-range", "unknown-configuration"])
     def test_model_error_names_its_problem(self, runner, tmp_path, cli, doc,
                                            args, message):
         model = tmp_path / "bad.json"

@@ -62,6 +62,8 @@ class TestObjective:
         enc = encode_waodag(tony)
         with pytest.raises(ModelError, match="assignment domain"):
             objective(enc.system, {"Tony-in": 1})
+        with pytest.raises(ModelError, match="assignment domain"):
+            truth_to_solution(enc, {"Tony-in": True})
 
 
 def test_hand_built_groups_are_its_variables():
@@ -278,6 +280,8 @@ class TestPermissibility:
         s = {x: 0 for x in enc.system.variables}
         assert is_permissible(enc, s)
         assert not satisfies(enc.system, dict(s, **{"A=true": 1}))
+        with pytest.raises(ModelError, match="assignment domain"):
+            is_permissible(enc, dict(s, ghost=0))
 
 
 class TestInstantiationConversions:

@@ -387,6 +387,30 @@ class TestEnumerateCardinal:
         assert len(prices) == 2  # branch and bound's, then the shrunk point's
         assert wd.is_cardinal(w, solution_to_truth(enc, ranked[0].assignment))
 
+    def test_each_cut_is_of_the_point_just_reported(self, monkeypatch):
+        """Each cardinal cut is built from the assignment of the rank just
+        reported, one cut per rank in rank order.  Here three ranks are
+        shrunk points: the region search's optimum held a free hypothesis
+        that no evidence needs, and the cut is of the shrunk point."""
+        enc = encode_waodag(free_hypotheses(random_waodag(7, 8, 25), 7))
+        found, cuts = [], []
+        regions, cut = search._regions, search.cardinal_cut
+
+        def spied(p, root):
+            for point in regions(p, root):
+                found.append(point[0])
+                yield point
+
+        def recorded(s, scope):
+            cuts.append(s)
+            return cut(s, scope)
+
+        monkeypatch.setattr(search, "_regions", spied)
+        monkeypatch.setattr(search, "cardinal_cut", recorded)
+        ranked = search.enumerate_cardinal(enc, search.ALL)
+        assert cuts == [r.assignment for r in ranked]
+        assert sum(f != c for f, c in zip(found, cuts)) == 3
+
     @pytest.mark.parametrize("seed", range(12))
     def test_zero_cost_hypotheses(self, seed):
         """Free hypotheses make ties that branch and bound may resolve to a
@@ -738,7 +762,8 @@ def test_one_point_check_per_rank(mode, instance, monkeypatch):
 
 def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
     """ALL and permissible mode split regions and add no row; cardinal mode
-    adds one cut row per rank before the k-th."""
+    adds one cut row per rank before the k-th.  A k of 0 or less takes no
+    rank."""
     add_row = sx.add_row
     calls = []
 
@@ -756,6 +781,10 @@ def test_cut_loop_stops_at_k(tony, fig, monkeypatch):
         calls.clear()
         assert len(run()) == k
         assert len(calls) == rows
+    for k in (0, -2):
+        assert search.enumerate_best(enc.system, k) == []
+        assert search.enumerate_cardinal(enc, k) == []
+        assert search.enumerate_permissible(encode_bayesnet(fig), k) == []
 
 
 # --- region search against the exclusion-cut loop -----------------------------

@@ -183,8 +183,8 @@ class TestResolveAfterCut:
     def test_conflicting_bound_children(self, tony_lp):
         root = sx.solve(tony_lp)
         j = tony_lp.system.index["Tony-out"]
-        up = sx.with_bounds(tony_lp, j, 1.0, 1.0)
-        down = sx.with_bounds(tony_lp, j, 0.0, 0.0)
+        up = sx.fixed(tony_lp, j, 1.0)
+        down = sx.fixed(tony_lp, j, 0.0)
         r_up = sx.solve(up, warm=root.basis)
         r_down = sx.solve(down, warm=root.basis)
         assert r_up.status == sx.OPTIMAL
@@ -199,7 +199,7 @@ class TestResolveAfterCut:
         root = sx.solve(tony_lp)
         before = root.basis.binv.tobytes()
         j = tony_lp.system.index["Tony-out"]
-        children = [sx.solve(sx.with_bounds(tony_lp, j, v, v),
+        children = [sx.solve(sx.fixed(tony_lp, j, v),
                              warm=root.basis) for v in (0.0, 1.0)]
         children.append(sx.solve(sx.add_row(tony_lp, LinearConstraint(
             ((1.0, "Tony-out"),), "<=", 0.0)), warm=root.basis))
@@ -211,8 +211,7 @@ class TestResolveAfterCut:
         inversions = count_inversions(monkeypatch)
         cut = sx.add_row(tony_lp, LinearConstraint(
             ((1.0, "Tony-out"),), "<=", 0.0))
-        fixed = sx.with_bounds(tony_lp, tony_lp.system.index["Tony-in"],
-                               1.0, 1.0)
+        fixed = sx.fixed(tony_lp, tony_lp.system.index["Tony-in"], 1.0)
         for p in (cut, fixed):
             r = sx.solve(p, warm=root.basis)
             assert r.basis.changes < sx.REFACTOR_EVERY
@@ -223,7 +222,7 @@ class TestResolveAfterCut:
         root = sx.solve(tony_lp)
         p = tony_lp
         for name in ("Tony-in", "Tony-sleeping", "Tony-out"):
-            p = sx.with_bounds(p, p.system.index[name], 0.0, 0.0)
+            p = sx.fixed(p, p.system.index[name], 0.0)
         assert sx.solve(p, warm=root.basis).status == sx.INFEASIBLE
         assert sx.solve(p).status == sx.INFEASIBLE
 
@@ -252,7 +251,7 @@ def test_randomized_resolve_matches_scratch(seed):
         else:
             j = rng.randrange(len(p.system.variables))
             v = float(rng.randint(0, 1))
-            p = sx.with_bounds(p, j, v, v)
+            p = sx.fixed(p, j, v)
         warm = sx.solve(p, warm=parent.basis)
         cold = sx.solve(p)
         assert warm.status == cold.status
@@ -391,7 +390,7 @@ def warm_chain(p, parent, rng):
         else:
             j = rng.randrange(len(p.system.variables))
             v = float(rng.randint(0, 1))
-            p = sx.with_bounds(p, j, v, v)
+            p = sx.fixed(p, j, v)
         parent = sx.solve(p, warm=parent.basis)
         yield p, parent
 
@@ -477,7 +476,7 @@ def test_ge_rows_solve_as_their_negated_le_rows(make, seed, monkeypatch):
         else:
             j = rng.randrange(len(r.x))
             v = float(rng.randint(0, 1))
-            p, q = sx.with_bounds(p, j, v, v), sx.with_bounds(q, j, v, v)
+            p, q = sx.fixed(p, j, v), sx.fixed(q, j, v)
         (r, r_pivots), (s, s_pivots) = solve(p, r.basis), solve(q, s.basis)
     assert sum(pivots) > 0
 
@@ -627,9 +626,9 @@ class TestColumnLayout:
     cost and the optimality tolerance) is built once per system."""
 
     def test_bound_children_share_it(self, tony_lp):
-        child = sx.with_bounds(tony_lp, 0, 1.0, 1.0)
+        child = sx.fixed(tony_lp, 0, 1.0)
         assert child.layout is tony_lp.layout
-        assert sx.with_bounds(child, 1, 0.0, 0.0).layout is tony_lp.layout
+        assert sx.fixed(child, 1, 0.0).layout is tony_lp.layout
 
     def test_new_rows_get_their_own(self, tony_lp):
         cut = tony_cut(tony_lp)
@@ -758,6 +757,24 @@ def test_warm_start_that_raises_retries_from_slack(tony_lp, linprog,
     r = sx.solve(p, warm=root.basis)
     assert starts == [True, False]
     assert_matches_highs(p, r, linprog)
+
+
+def test_pivot_limit_retries_then_raises(tony_lp, monkeypatch):
+    """A warm solve that reaches the pivot limit is retried from the slack
+    basis, and a retry that reaches it too raises ``SolverLimit``."""
+    root = sx.solve(tony_lp)
+    p = tony_cut(tony_lp)
+    init = sx._Worker.__init__
+
+    def low_limit(self, p):
+        init(self, p)
+        self.limit = 0
+
+    monkeypatch.setattr(sx._Worker, "__init__", low_limit)
+    starts = record_starts(monkeypatch)
+    with pytest.raises(SolverLimit, match="simplex exceeded 0 pivots"):
+        sx.solve(p, warm=root.basis)
+    assert starts == [(True, False), (False, False)]
 
 
 def test_warm_start_not_dual_feasible_never_pivots(tony_lp, linprog,
