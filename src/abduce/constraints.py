@@ -121,8 +121,8 @@ class ConstraintSystem:
 
     @property
     def scope(self) -> Tuple[str, ...]:
-        """The determining variables, group by group: cuts and branching
-        range over these."""
+        """The determining variables, group by group: the split and the
+        cardinal cut range over these."""
         return tuple(x for g in self.determining for x in g) or self.variables
 
     # Array forms, built once per system on first use and handed on by

@@ -22,10 +22,10 @@ from . import waodag as wd
 from .errors import ModelError
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str, object_pairs_hook=None) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
@@ -209,8 +209,17 @@ def parse_evidence_spec(spec: str, b: bn.BayesianNetwork
 
 
 def parse_evidence_file(path: str) -> bn.InstantiationSet:
-    """A JSON object of Var: value pairs; each value is read as a name."""
-    doc = _load_json(path)
+    """A JSON object of Var: value pairs; each value is read as a name.  A
+    variable named twice is refused, where ``json.load`` keeps the last."""
+    def once(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ModelError(f"{path}: evidence names {key!r} twice")
+            doc[key] = value
+        return doc
+
+    doc = _load_json(path, once)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: expected an object of Var: value pairs")
     return {_name(var, "evidence variable"):

@@ -8,10 +8,10 @@ undoes evidence.  One heap holds the open regions, keyed by a lower bound on
 every 0-1 point inside.  A region enters unsolved, under its parent's bound
 and with its parent's basis; when it pops it is solved from that basis and
 pushed again under its own bound.  A solved region with a fractional optimum
-branches on its most fractional scope variable (on any variable once the
-scope is integral).  One with an integral optimum pops only when no lower
-key is left, so its point is the cheapest not yet emitted: it is checked,
-priced and emitted, and the rest of the region is split over the
+branches on its first column more than ``simplex.FEAS_TOL`` from an integer;
+the groups play no part in that.  One with an integral optimum pops only
+when no lower key is left, so its point is the cheapest not yet emitted: it
+is checked, priced and emitted, and the rest of the region is split over the
 determining groups g1..gm (``ConstraintSystem.groups``: a graph's
 hypotheses one by one, a network's variables, each variable of a hand-built
 system).  A group's active variable is the one variable of a singleton, or
@@ -21,9 +21,10 @@ of its group; it also fixes gi's active variable at its other bound, so a
 singleton flips and a network variable loses its value (Nilsson 1998, k-best
 MAP by partitioning).  A group with no other value left in the region gets
 no child: its active variable is fixed, or every other variable of its
-exactly-one set is fixed at 0.  The groups fix all other variables, so the
-children hold every point of the region but the emitted one, and each point
-comes out once, in cost order.
+exactly-one set is fixed at 0.  The groups must fix all other variables
+(``_root`` refuses one in no group that no row mentions), so the children
+hold every point of the region but the emitted one, and each point comes
+out once, in cost order.
 ``ranked`` numbers a point stream and stops it at k: the region search's in
 ``solve_optimal``, ``enumerate_best`` and ``enumerate_permissible``, and a
 cut loop's in cardinal mode.  There each point is the region search's first
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,7 +64,6 @@ from .constraints import (
 from .errors import InvariantViolation, ModelError, SolverLimit
 
 ALL = "all"
-INT_TOL = 1e-7
 # relative slack of the two checks that one cost is at most another: an LP
 # bound against its integral point, a shrunk point against its optimum
 WEAK_DUALITY_TOL = 1e-9
@@ -87,18 +86,6 @@ def cardinal_cut(s: Assignment01, scope: Sequence[str]) -> LinearConstraint:
     on = [x for x in scope if s[x]]
     return LinearConstraint(tuple((1.0, x) for x in on), LE,
                             float(len(on) - 1))
-
-
-def _pick_fractional(x, indices: np.ndarray) -> int:
-    """Most fractional variable among ``indices``; ties to the lowest index."""
-    frac_j, frac_score = -1, math.inf
-    dist = np.minimum(np.abs(x[indices]), np.abs(1.0 - x[indices]))
-    for j in indices[dist > INT_TOL].tolist():
-        score = abs(x[j] - 0.5)
-        if score < frac_score - 1e-12:
-            frac_score = score
-            frac_j = j
-    return frac_j
 
 
 def _regions(p: sx.LpProblem,
@@ -128,11 +115,9 @@ def _regions(p: sx.LpProblem,
                 heapq.heappush(heap, (res.objective, next(counter), p, res))
             continue
         x = res.x
-        j = _pick_fractional(x, scope)
-        if j < 0:
-            j = _pick_fractional(x, np.arange(len(x)))
-        if j >= 0:
-            fixes = [(j, 0.0), (j, 1.0)]
+        frac = np.flatnonzero(np.abs(x - np.round(x)) > sx.FEAS_TOL)
+        if len(frac):
+            fixes = [(frac[0], 0.0), (frac[0], 1.0)]
         else:
             point = x > 0.5
             cost = objective(system, point)
@@ -167,7 +152,8 @@ def _root(system: ConstraintSystem) -> sx.LpProblem:
     """The [0, 1] relaxation of ``system``, with each column that a
     one-variable equality row ``c x = b`` fixes at ``b / c`` in {0, 1} fixed
     there by its bounds too.  A group of two or more variables that is not
-    the terms of one row ``c x1 + ... + c xn = c``, c != 0, is refused."""
+    the terms of one row ``c x1 + ... + c xn = c``, c != 0, is refused, and
+    so is a variable in no group that no row mentions: nothing fixes it."""
     A, rel, b = system.rows
     nonzero, eq = A != 0, rel == EQ
     sums = eq & (b != 0) & ((A == b[:, None]) | ~nonzero).all(axis=1)
@@ -177,6 +163,11 @@ def _root(system: ConstraintSystem) -> sx.LpProblem:
                 not in backed:
             raise ModelError(f"determining group {g!r} is not an exactly-one "
                              f"set: no row c*({' + '.join(g)}) = c, c != 0")
+    free = ~nonzero.any(axis=0)
+    free[[system.index[x] for x in system.scope]] = False
+    if free.any():
+        raise ModelError(f"variable {system.variables[free.argmax()]!r} is "
+                         "in no determining group and no row")
     rows = np.flatnonzero(eq & (nonzero.sum(axis=1) == 1))
     _, cols = np.nonzero(nonzero[rows])  # one per row, in row order
     at = b[rows] / A[rows, cols]

@@ -377,7 +377,9 @@ class TestMpeCommands:
         (b'["C", "true"]', "expected an object of Var: value pairs"),
         (b'{"C": ', "line 1 column 7"),
         (b'{"C": "\xff"}', "byte 7 is not UTF-8"),
-    ], ids=["array", "bad-json", "not-utf-8"])
+        # json.load would keep the last value and solve with C=false
+        (b'{"C": "true", "C": "false"}', "evidence names 'C' twice"),
+    ], ids=["array", "bad-json", "not-utf-8", "repeated-variable"])
     def test_bad_evidence_file_fails(self, runner, tmp_path, text, message):
         evidence = tmp_path / "e.json"
         evidence.write_bytes(text)
@@ -411,6 +413,23 @@ class TestGenCommands:
                                    ["oracle", str(model), "--k", "all"]))
         assert [pytest.approx(r["cost"], abs=1e-6) for r in oracle] == \
             [r["cost"] for r in solver]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strict_and_allow_extreme(self, runner, seed):
+        """``--strict`` prints ``random_waodag(seed, strict=True)``, whose
+        internal nodes all cost at least 1, and ``--allow-extreme`` prints
+        ``random_bayesnet(seed, margin=0.0)``."""
+        out = run_ok(runner, gen_cli, ["waodag", "--seed", str(seed),
+                                       "--strict"])
+        w = model_io.parse_waodag(json.loads(out))
+        assert model_io.waodag_to_doc(w) == model_io.waodag_to_doc(
+            random_waodag(seed, strict=True))
+        assert all(w.cost_true[q] >= 1 for q in w.nodes if w.parents[q])
+        out = run_ok(runner, gen_cli, ["bn", "--seed", str(seed),
+                                       "--allow-extreme"])
+        b = model_io.parse_bayesnet(json.loads(out))
+        assert model_io.bayesnet_to_doc(b) == model_io.bayesnet_to_doc(
+            random_bayesnet(seed, margin=0.0))
 
     @pytest.mark.parametrize("args, message", [
         (["waodag", "--internal", "0"], "'--internal': 0 is not in the range"),
@@ -468,6 +487,8 @@ DETERMINISM_CASES = [
     (mpe_cli, ["enumerate", FIG, "--evidence", "C=true", "--k", "all"]),
     (gen_cli, ["waodag", "--seed", "11"]),
     (gen_cli, ["bn", "--seed", "11"]),
+    (gen_cli, ["waodag", "--strict", "--seed", "11"]),
+    (gen_cli, ["bn", "--allow-extreme", "--seed", "11"]),
 ]
 
 

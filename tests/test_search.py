@@ -633,6 +633,20 @@ def test_a_group_must_be_an_exactly_one_set(rows, monkeypatch):
     assert solves == []
 
 
+def test_a_variable_nothing_fixes_is_refused(monkeypatch):
+    """A variable in no group that no row mentions takes either value at
+    every point, and the split fixes only the groups: here 2 of the 4 points
+    came out.  It is refused before any LP is solved."""
+    system = ConstraintSystem(("a", "b"), (), {"a": 1.0, "b": 2.0},
+                              {"a": 0.0, "b": 0.0}, (("a",),))
+    solves = []
+    monkeypatch.setattr(sx, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ModelError, match="variable 'b' is in no determining "
+                                         "group and no row"):
+        search.enumerate_best(system, search.ALL)
+    assert solves == []
+
+
 def test_hand_built_groups_match_brute_force():
     """Singletons mixed with an exactly-one group of three, one backed by a
     scaled row, and a variable the groups fix: every point once, in cost
@@ -903,6 +917,33 @@ def test_cardinal_stream_at_every_cost_scale(seed, scale):
     scale."""
     w = scaled_graph(random_waodag(seed, 5, 8), scale)
     enc = encode_waodag(w)
+    ranked = search.enumerate_cardinal(enc, search.ALL)
+    assert_streams_match(cardinal_stream(ranked, enc),
+                         oracle_cardinal_stream(w), 1e-6 * scale)
+
+
+@st.composite
+def tied_scaled_graphs(draw):
+    """Graphs of 3-6 hypotheses and 4-10 internal nodes whose hypotheses
+    cost 1 or 2 at most, so many explanations tie, scaled by 10^k, k in
+    -8..8."""
+    w = random_waodag(draw(st.integers(0, 2**32 - 1)), draw(st.integers(3, 6)),
+                      draw(st.integers(4, 10)), draw(st.sampled_from([1, 2])))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    return scaled_graph(w, scale), scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tied_scaled_graphs())
+def test_tied_streams_at_every_cost_scale(case):
+    """Branching on the first fractional column, whatever the scale and
+    however many costs tie, gives the oracle's ALL-mode and cardinal
+    streams, tie group by tie group."""
+    w, scale = case
+    enc = encode_waodag(w)
+    ranked = search.enumerate_best(enc.system, search.ALL)
+    assert_streams_match(waodag_stream(ranked, enc), oracle_stream(w),
+                         1e-6 * scale)
     ranked = search.enumerate_cardinal(enc, search.ALL)
     assert_streams_match(cardinal_stream(ranked, enc),
                          oracle_cardinal_stream(w), 1e-6 * scale)
