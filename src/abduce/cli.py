@@ -58,7 +58,7 @@ def _exit_codes():
     except SolverLimit as exc:
         click.echo(f"solver limit: {exc}", err=True)
         sys.exit(2)
-    except (ModelError, OSError, ValueError) as exc:
+    except (ModelError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -240,30 +240,22 @@ def truth_to_solution(enc: WaodagEncoding,
 # --- Bayesian-network encoding ----------------------------------------------
 
 @dataclass(frozen=True)
-class CondVar:
-    head_var: str
-    head_value: str
-    config: Tuple[Tuple[str, str], ...]  # (parent, value) in parent order
-
-
-@dataclass(frozen=True)
 class BayesEncoding:
     system: ConstraintSystem
     network: bn.BayesianNetwork
-    conditionals: Mapping[str, CondVar]
+    # conditional -> its head indicator, then its configuration's indicators
+    # in parent order: the conditional is 1 exactly when all of them are
+    conditionals: Mapping[str, Tuple[str, ...]]
 
 
 def indicator_name(var: str, value: str) -> str:
     return sys.intern(f"{var}={value}")
 
 
-def conditional_name(var: str, value: str,
-                     config: Tuple[Tuple[str, str], ...]) -> str:
-    head = indicator_name(var, value)
+def conditional_name(head: str, config: Tuple[str, ...]) -> str:
     if not config:
         return sys.intern(f"q[{head}]")
-    cfg = ",".join(indicator_name(p, v) for p, v in config)
-    return sys.intern(f"q[{head}|{cfg}]")
+    return sys.intern(f"q[{head}|{','.join(config)}]")
 
 
 def encode_bayesnet(b: bn.BayesianNetwork) -> BayesEncoding:
@@ -286,25 +278,23 @@ def encode_bayesnet(b: bn.BayesianNetwork) -> BayesEncoding:
             for g in groups]
     links: List[LinearConstraint] = []
     psi_true: Dict[str, float] = dict.fromkeys(indicators, 0.0)
-    conditionals: Dict[str, CondVar] = {}
+    conditionals: Dict[str, Tuple[str, ...]] = {}
     names = Counter(indicators)  # each must name one variable of the system
-    for v in b.variables:
-        for a in b.ranges[v]:
-            head = indicator_name(v, a)
+    for v, g in zip(b.variables, groups):
+        configs = [(config, tuple(map(indicator_name, b.parents[v], config)))
+                   for config in b.parent_configs(v)]
+        for a, head in zip(b.ranges[v], g):
             upsilon = []
-            for config in b.parent_configs(v):
-                config_pairs = tuple(zip(b.parents[v], config))
-                name = conditional_name(v, a, config_pairs)
-                p = b.cpt[(v, a, tuple(config))]
+            for config, given in configs:
+                name = conditional_name(head, given)
+                p = b.cpt[(v, a, config)]
                 psi_true[name] = -math.log(p) if p > 0.0 else zero_cost
-                conditionals[name] = CondVar(v, a, config_pairs)
+                need = conditionals[name] = (head,) + given
                 names[name] += 1
                 upsilon.append(name)
-                terms = ((1.0, name), (-1.0, head))
-                terms += tuple((-1.0, indicator_name(p_, c_))
-                               for p_, c_ in config_pairs)
                 rows.append(LinearConstraint(
-                    terms, GE, float(-len(config_pairs))))
+                    ((1.0, name),) + tuple((-1.0, x) for x in need), GE,
+                    float(-len(given))))
             links.append(LinearConstraint(
                 ((1.0, head),) + tuple((-1.0, q) for q in upsilon), EQ, 0.0))
 
@@ -331,17 +321,15 @@ def is_permissible(enc: BayesEncoding, s: Assignment01) -> bool:
     """Every active conditional has its head and full configuration active."""
     if set(s) != set(enc.system.variables):
         raise ModelError("assignment domain does not match the variable set")
-    return all(s[indicator_name(info.head_var, info.head_value)]
-               and all(s[indicator_name(p, v)] for p, v in info.config)
-               for name, info in enc.conditionals.items() if s[name])
+    return all(all(s[x] for x in need)
+               for name, need in enc.conditionals.items() if s[name])
 
 
 def solution_to_instantiation(enc: BayesEncoding,
                               s: Assignment01) -> bn.InstantiationSet:
     w: bn.InstantiationSet = {}
-    for var in enc.network.variables:
-        active = [a for a in enc.network.ranges[var]
-                  if s[indicator_name(var, a)]]
+    for var, group in zip(enc.network.variables, enc.system.determining):
+        active = [a for a, x in zip(enc.network.ranges[var], group) if s[x]]
         if len(active) != 1:
             raise ModelError(f"indicator group of {var!r} has "
                              f"{len(active)} active members, not 1")
@@ -353,11 +341,10 @@ def instantiation_to_solution(enc: BayesEncoding,
                               w: bn.InstantiationSet) -> Dict[str, int]:
     if not bn.is_complete(enc.network, w):
         raise ModelError(f"incomplete instantiation: covers only {sorted(w)}")
-    s: Dict[str, int] = {indicator_name(var, a): int(w[var] == a)
-                         for var in enc.network.variables
-                         for a in enc.network.ranges[var]}
-    s.update((name, int(w[info.head_var] == info.head_value and
-                        all(w[p] == v for p, v in info.config)))
-             for name, info in enc.conditionals.items())
+    s: Dict[str, int] = {x: int(w[var] == a)
+                         for var, group in zip(enc.network.variables,
+                                               enc.system.determining)
+                         for a, x in zip(enc.network.ranges[var], group)}
+    s.update((name, int(all(s[x] for x in need)))
+             for name, need in enc.conditionals.items())
     return s
-

@@ -31,6 +31,8 @@ def _load_json(path: str, object_pairs_hook=None) -> Any:
                          f"{exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ModelError(f"{path}: byte {exc.start} is not UTF-8") from exc
+    except ValueError as exc:  # the decoder's other refusals
+        raise ModelError(f"{path}: {exc}") from exc
 
 
 def _field(entry: Any, key: str, what: str) -> Any:
@@ -77,6 +79,8 @@ def parse_waodag(doc: Any) -> wd.Waodag:
         try:
             cost_true[node] = float(entry.get("cost_true", 0.0))
             cost_false[node] = float(entry.get("cost_false", 0.0))
+        except OverflowError:
+            raise ModelError(f"a cost of {node!r} is beyond float range")
         except (TypeError, ValueError):
             raise ModelError(f"a cost of {node!r} is not a number: {entry!r}")
     edges = []
@@ -147,6 +151,9 @@ def parse_bayesnet(doc: Any) -> bn.BayesianNetwork:
                 value = _name(value, f"a 'probs' key of {child!r}")
                 try:
                     cpt[(child, value, given)] = float(p)
+                except OverflowError:
+                    raise ModelError(f"P({child}={value} | {given!r}) is "
+                                     f"beyond float range")
                 except (TypeError, ValueError):
                     raise ModelError(f"P({child}={value} | {given!r}) = {p!r} "
                                      f"is not a number")

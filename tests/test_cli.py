@@ -379,7 +379,11 @@ class TestMpeCommands:
         (b'{"C": "\xff"}', "byte 7 is not UTF-8"),
         # json.load would keep the last value and solve with C=false
         (b'{"C": "true", "C": "false"}', "evidence names 'C' twice"),
-    ], ids=["array", "bad-json", "not-utf-8", "repeated-variable"])
+        # past the decoder's digit limit: a ValueError that is no
+        # JSONDecodeError, and json.dumps of such an int hits it too
+        (b'{"C": 1' + b"0" * 5000 + b"}", "digits"),
+    ], ids=["array", "bad-json", "not-utf-8", "repeated-variable",
+            "overlong-integer"])
     def test_bad_evidence_file_fails(self, runner, tmp_path, text, message):
         evidence = tmp_path / "e.json"
         evidence.write_bytes(text)
@@ -659,8 +663,16 @@ class TestExitCodes:
                                 {"given": [g], "probs": {"t": 0.5, "f": 0.5}}
                                 for g in ("t", "f", "x")]}]},
          [], "2 CPT entries reference unknown configurations"),
+        # float() of an integer past float range raises OverflowError
+        (abduce_cli, {"nodes": [{"id": "a", "cost_true": 10 ** 400}]}, [],
+         "a cost of 'a' is beyond float range"),
+        (mpe_cli, {"variables": [{"name": "A", "range": ["t", "f"]}],
+                   "cpts": [{"child": "A", "parents": [], "rows": [
+                       {"given": [], "probs": {"t": 10 ** 400, "f": 0}}]}]},
+         [], "P(A=t | ()) is beyond float range"),
     ], ids=["evidence-node", "missing-entry", "probability-range",
-            "empty-range", "unknown-configuration"])
+            "empty-range", "unknown-configuration", "cost-overflow",
+            "probability-overflow"])
     def test_model_error_names_its_problem(self, runner, tmp_path, cli, doc,
                                            args, message):
         model = tmp_path / "bad.json"
@@ -706,6 +718,19 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.stderr == ("error: two network entries are both named "
                                  "'A=b=c'; rename a variable or a value\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("cli, model, target, empty", [
+        (abduce_cli, TONY, "solve_optimal", None),
+        (mpe_cli, FIG, "enumerate_permissible", []),
+    ], ids=["abduce", "mpe"])
+    def test_no_explanation_is_exit_1(self, runner, monkeypatch, cli, model,
+                                      target, empty):
+        # no bundled model lacks an explanation, so the search is stubbed
+        monkeypatch.setattr(search, target, lambda *args: empty)
+        result = runner.invoke(cli, ["solve", model])
+        assert result.exit_code == 1
+        assert result.stderr == "no explanation exists\n"
         assert result.stdout == ""
 
     def test_solver_limit_is_exit_2(self, runner, monkeypatch):

@@ -336,11 +336,8 @@ class TestBayesEncodingInvariants:
     def test_matching_conditional_forced_up(self, fig):
         enc = encode_bayesnet(fig)
         for s in all_01_points(enc.system):
-            for name, info in enc.conditionals.items():
-                head_up = s[indicator_name(info.head_var, info.head_value)]
-                config_up = all(s[indicator_name(p, v)]
-                                for p, v in info.config)
-                if head_up and config_up:
+            for name, (head, *config) in enc.conditionals.items():
+                if s[head] and all(s[x] for x in config):
                     assert s[name] == 1
 
     def test_every_solution_permissible(self, fig):

@@ -858,6 +858,7 @@ def test_assignment_is_a_read_only_mapping(tony, fig):
     benc = apply_evidence(encode_bayesnet(fig), {"C": T})
     r = search.enumerate_permissible(benc, 1)[0]
     assert isinstance(r.assignment, constraints.Assignment)
+    assert repr(r.assignment) == f"Assignment({dict(r.assignment)!r})"
     assert constraints.is_permissible(benc, r.assignment)
     assert objective(benc.system, r.assignment) == r.cost
 
