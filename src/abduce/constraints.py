@@ -156,8 +156,6 @@ def _point(system: ConstraintSystem, s: Point) -> np.ndarray:
         if s.shape != (len(system.variables),):
             raise ModelError(f"point of shape {s.shape} != variable count")
         return s
-    if isinstance(s, Assignment) and s.index == system.index:
-        return np.frombuffer(s.data, dtype=np.uint8).astype(float)
     if set(s) != set(system.variables):
         raise ModelError("assignment domain does not match the variable set")
     return np.array([s[x] for x in system.variables], dtype=float)

@@ -236,10 +236,8 @@ def enumerate_cardinal(enc: WaodagEncoding, k) -> List[RankedSolution]:
         base = {h for h in system.scope if s[h]}
         size = len(base)
         for h in free:
-            if h in base:
-                e = wd.propagate(w, base - {h})
-                if all(e[q] for q in w.evidence):
-                    base.remove(h)
+            if h in base and wd.explains(w, base - {h}):
+                base.remove(h)
         if len(base) == size:
             return s, cost
         shrunk = truth_to_solution(enc, wd.propagate(w, base))

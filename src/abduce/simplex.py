@@ -167,7 +167,9 @@ class _Worker:
         self.c, self.opt_tol, self.tie_tol = lay.cost, lay.opt_tol, lay.tie_tol
         self.lo = np.concatenate([p.lower, lay.slack_lo])
         self.up = np.concatenate([p.upper, lay.slack_up])
-        self.boxed = self.up > self.lo + 1e-12
+        # every bound is exact (0, 1, +-inf, or a value ``fixed`` set), so
+        # a column can move iff its bounds differ
+        self.boxed = self.up > self.lo
         self.limit = max(1000, 50 * (self.m + self.ntot))
         self.pivots = 0
 

@@ -111,27 +111,28 @@ def _check_domain(w: Waodag, e: TruthAssignment) -> None:
 
 
 def is_valid(w: Waodag, e: TruthAssignment) -> bool:
-    """Def-2.2 validity; nodes with no parents are unconstrained."""
+    """Def-2.2 validity: ``e`` is what its true hypotheses propagate to."""
     _check_domain(w, e)
-    for q in w.nodes:
-        ps = w.parents[q]
-        if not ps:
-            continue
-        if w.label[q] == AND:
-            want = all(e[p] for p in ps)
-        else:
-            want = any(e[p] for p in ps)
-        if e[q] != want:
-            return False
-    return True
+    return e == propagate(w, (h for h in w.hypotheses if e[h]))
 
 
 def is_explanation(w: Waodag, e: TruthAssignment) -> bool:
-    return is_valid(w, e) and all(e[q] for q in w.evidence)
+    return is_valid(w, e) and proves(w, e)
+
+
+def proves(w: Waodag, e: TruthAssignment) -> bool:
+    """Every evidence node is true in ``e``."""
+    return all(e[q] for q in w.evidence)
+
+
+def explains(w: Waodag, hyps: Iterable[str]) -> bool:
+    """The hypotheses ``hyps`` propagate to an explanation."""
+    return proves(w, propagate(w, hyps))
 
 
 def propagate(w: Waodag, hyps: Iterable[str]) -> TruthAssignment:
-    """The unique valid assignment whose true hypotheses are exactly ``hyps``."""
+    """The valid assignment whose true hypotheses are exactly ``hyps``: each
+    node with parents gets the value its AND/OR label gives them."""
     hyps = set(hyps)
     bad = hyps - w.hypotheses
     if bad:
@@ -141,10 +142,8 @@ def propagate(w: Waodag, hyps: Iterable[str]) -> TruthAssignment:
         ps = w.parents[q]
         if not ps:
             e[q] = q in hyps
-        elif w.label[q] == AND:
-            e[q] = all(e[p] for p in ps)
         else:
-            e[q] = any(e[p] for p in ps)
+            e[q] = (all if w.label[q] == AND else any)(e[p] for p in ps)
     return e
 
 
@@ -178,10 +177,7 @@ def is_cardinal(w: Waodag, e: TruthAssignment) -> bool:
     if not is_explanation(w, e):
         raise ModelError("is_cardinal needs an explanation")
     base, _ = base_and_support(w, e)
-    for h in base:
-        if is_explanation(w, propagate(w, base - {h})):
-            return False
-    return True
+    return not any(explains(w, base - {h}) for h in base)
 
 
 def enumerate_explanations_oracle(w: Waodag):
@@ -198,7 +194,7 @@ def enumerate_explanations_oracle(w: Waodag):
     for mask in range(1 << len(hyp_order)):
         chosen = {h for i, h in enumerate(hyp_order) if mask >> i & 1}
         e = propagate(w, chosen)
-        if all(e[q] for q in w.evidence):
+        if proves(w, e):
             bits = tuple(int(h in chosen) for h in hyp_order)
             found.append((cost(w, e), bits, e))
     found.sort(key=lambda t: (t[0], t[1]))

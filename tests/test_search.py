@@ -34,6 +34,7 @@ from util import (
     group_stream,
     holds,
     inst_key,
+    scaled_graph,
     solution_to_truth,
     strict_graph,
     three_var_network,
@@ -870,14 +871,6 @@ def test_weak_duality_check_fires(tony, monkeypatch):
     monkeypatch.setattr(search, "objective", lambda system, s: -1.0)
     with pytest.raises(InvariantViolation, match="weak duality"):
         search.solve_optimal(encode_waodag(tony).system)
-
-
-def scaled_graph(w, scale):
-    """``w`` with every cost multiplied by ``scale``."""
-    return wd.Waodag.build(w.nodes, w.edges, w.label,
-                           {q: c * scale for q, c in w.cost_true.items()},
-                           {q: c * scale for q, c in w.cost_false.items()},
-                           w.evidence)
 
 
 @pytest.mark.parametrize("scale", [1e7, 1e8])

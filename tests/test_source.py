@@ -55,3 +55,18 @@ def test_tracer_targets_exist():
     assert patched
     for module, attr, fn in patched:
         assert getattr(module, attr) is fn
+
+
+def test_every_golden_output_is_diffed_in_ci():
+    """CI's "Console scripts" step diffs the installed commands' output
+    against every golden file under tests/data: each one heads a
+    ``golden-file command...`` line of its table."""
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    text = workflow.read_text(encoding="utf-8")
+    step = text.split("- name: Console scripts", 1)[1].split("- name:", 1)[0]
+    heads = {line.split()[0] for line in step.splitlines() if line.strip()}
+    data = ROOT / "tests" / "data"
+    goldens = sorted(p.name for p in [*data.glob("*.jsonl"), *data.glob("*.txt")])
+    assert goldens
+    missing = [g for g in goldens if g not in heads]
+    assert not missing, f"golden files not diffed in CI: {missing}"

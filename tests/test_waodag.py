@@ -1,15 +1,18 @@
 """Weighted AND/OR DAG semantics: validity, propagation, costs, cardinality."""
 
 import math
+import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from abduce import waodag as wd
+from abduce.constraints import encode_waodag
 from abduce.errors import ModelError
 from abduce.generate import random_waodag
 
-from util import is_strict, strict_graph, tony_graph, truth_key
+from util import all_01_points, is_strict, strict_graph, tony_graph, truth_key
 
 HYPS = ("Tony-in", "Tony-sleeping", "Tony-out")
 
@@ -110,6 +113,33 @@ class TestExplanation:
 
     def test_tony_in_alone_does_not(self, tony):
         assert not wd.is_explanation(tony, wd.propagate(tony, {"Tony-in"}))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_semantics_are_the_encodings_points(seed):
+    """On a graph of 2-4 hypotheses and 3-8 internal nodes, ``is_valid``
+    accepts exactly the 0-1 points of the encoding without its evidence
+    rows, one per hypothesis subset, and ``is_explanation`` exactly those of
+    the full encoding; ``explains(w, H)`` is ``is_explanation`` of what H
+    propagates to."""
+    rng = random.Random(seed)
+    w = random_waodag(seed, rng.randint(2, 4), rng.randint(3, 8))
+    truths = [{q: bool(mask >> i & 1) for i, q in enumerate(w.nodes)}
+              for mask in range(1 << len(w.nodes))]
+
+    def points(graph):
+        return {truth_key(s) for s in all_01_points(encode_waodag(graph).system)}
+
+    valid = {truth_key(e) for e in truths if wd.is_valid(w, e)}
+    assert len(valid) == 1 << len(w.hypotheses)
+    assert valid == points(replace(w, evidence=frozenset()))
+    assert {truth_key(e) for e in truths
+            if wd.is_explanation(w, e)} == points(w)
+    hyps = sorted(w.hypotheses)
+    for mask in range(1 << len(hyps)):
+        chosen = {h for i, h in enumerate(hyps) if mask >> i & 1}
+        assert wd.explains(w, chosen) == wd.is_explanation(
+            w, wd.propagate(w, chosen))
 
 
 class TestPropagate:

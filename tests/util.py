@@ -66,6 +66,14 @@ def strict_graph(w: wd.Waodag, delta: float) -> wd.Waodag:
                            w.cost_false, w.evidence)
 
 
+def scaled_graph(w: wd.Waodag, scale: float) -> wd.Waodag:
+    """``w`` with every cost multiplied by ``scale``."""
+    return wd.Waodag.build(w.nodes, w.edges, w.label,
+                           {q: c * scale for q, c in w.cost_true.items()},
+                           {q: c * scale for q, c in w.cost_false.items()},
+                           w.evidence)
+
+
 def solution_to_truth(enc: WaodagEncoding,
                       s: Dict[str, int]) -> wd.TruthAssignment:
     """The truth assignment of a 0-1 solution of a graph encoding."""
